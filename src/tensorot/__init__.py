@@ -33,7 +33,6 @@ from .pm import (
     g_sublevel_params,
     g_value,
     hessian_bounds,
-    mode_orthogonal_blocks,
     pm_minimize,
     projection_kl_bounds,
     rate_bound,
@@ -48,6 +47,7 @@ from .scaling import (
     iteration_bound,
     kl_divergence,
     log_marginal_fit,
+    mode_orthogonal_blocks,
     residual,
     select_mode,
     sinkhorn_scale,

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import null_space, orth
 
 from .errors import ContractViolation
+from .scaling import _line_residuals, _svd_bases, kl_divergence, mode_orthogonal_blocks
 from .tensor import MarginalFamily, Tensor, _fsum, all_marginals, apply_scaling, marginal
 
 __all__ = [
@@ -41,9 +41,6 @@ __all__ = [
     "scaling_block_minimizer",
     "g_sublevel_params",
 ]
-
-_RCOND = 1e-10
-
 
 # ---------------------------------------------------------------------------
 # the scaling potential and its derivatives
@@ -186,7 +183,7 @@ def pm_minimize(prob: PmProblem) -> PmResult:
     """
     span = np.hstack([np.asarray(Q, dtype=float) for Q in prob.blocks])
     # orthonormal basis of the combined search space
-    q_all = orth(span, rcond=_RCOND)
+    q_all = _svd_bases(span)[0]
 
     x = prob.x0.copy()
     f_cur = prob.objective(x)
@@ -300,20 +297,7 @@ def rate_bound(
 
 
 # ---------------------------------------------------------------------------
-# scaling-problem helpers: block bases, closed-form minimizer, sublevel sweep
-
-
-def mode_orthogonal_blocks(P: MarginalFamily) -> list[np.ndarray]:
-    """Orthonormal bases of the per-mode blocks {y orthogonal to p_j},
-    embedded into the (d*n)-dimensional stacked space."""
-    d, n = P.d, P.n
-    blocks = []
-    for j in range(d):
-        base = null_space(P.p[j][None, :], rcond=_RCOND)  # (n, n-1)
-        emb = np.zeros((d * n, base.shape[1]))
-        emb[j * n:(j + 1) * n, :] = base
-        blocks.append(emb)
-    return blocks
+# scaling-problem helpers: closed-form minimizer, sublevel sweep
 
 
 def scaling_block_minimizer(A: Tensor, P: MarginalFamily):
@@ -364,10 +348,8 @@ def g_sublevel_params(
     t0 = g_value(A, P, pts[0])
     for _ in range(samples):
         base = pts[rng.integers(len(pts))]
-        noise = rng.normal(scale=spread, size=(d, n))
         # keep the perturbation inside the per-mode orthogonal blocks
-        coef = (noise * P.p).sum(axis=1) / (P.p * P.p).sum(axis=1)
-        noise = noise - coef[:, None] * P.p
+        noise = _line_residuals(rng.normal(scale=spread, size=(d, n)), P.p)
         cand = base + noise
         if g_value(A, P, cand) <= t0 * (1 + 1e-12) + 1e-12:
             cands.append(cand)
@@ -412,7 +394,7 @@ def projection_kl_bounds(p, q, slack: float = 1e-12) -> ProjectionKlBounds:
     scale = float(q @ p) / float(p @ p)
     residual = float(np.abs(q - scale * p).sum())
     l1_gap = float(np.abs(q - p).sum())
-    kl = math.inf if np.any((q == 0) & (p > 0)) else _kl(p, q)
+    kl = kl_divergence(p, q)
     return ProjectionKlBounds(
         scale=scale,
         residual_l1=residual,
@@ -422,8 +404,3 @@ def projection_kl_bounds(p, q, slack: float = 1e-12) -> ProjectionKlBounds:
         halving_ok=2.0 * residual + slack >= l1_gap,
         pinsker_ok=residual <= (math.sqrt(n) + 1.0) * math.sqrt(2.0 * kl) + slack,
     )
-
-
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > 0
-    return math.fsum((p[mask] * (np.log(p[mask]) - np.log(q[mask]))).tolist())

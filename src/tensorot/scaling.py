@@ -14,17 +14,15 @@ the final iterate exactly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import null_space, orth
 
 from .errors import ContractViolation, DegenerateSliceError, NonConvergenceError
-from .tensor import MarginalFamily, Tensor, _fsum, marginal
+from .tensor import MarginalFamily, Tensor, _fsum, _scaled, marginal
 
 __all__ = [
     "SinkhornConfig",
@@ -37,6 +35,7 @@ __all__ = [
     "select_mode",
     "kl_divergence",
     "support_subspaces",
+    "mode_orthogonal_blocks",
     "iteration_bound",
 ]
 
@@ -69,7 +68,6 @@ class IterationRecord:
     residual_l2: float  # Euclidean norm of the selected mode's residual
     kl: Optional[float]  # K(p_mode || marginal) for the applied update
     g_value: float
-    fingerprint: str
 
 
 @dataclass
@@ -174,8 +172,10 @@ def log_marginal_fit(A: Tensor, p, mode: int) -> np.ndarray:
     return np.log(p) - np.log(s)
 
 
-def _line_residual(s: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return s - (float(s @ p) / float(p @ p)) * p
+def _line_residuals(S: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Each row of S minus its orthogonal projection onto the same row of p."""
+    coef = (S * p).sum(axis=1) / (p * p).sum(axis=1)
+    return S - coef[:, None] * p
 
 
 def residual(A: Tensor, p, mode: int) -> tuple[np.ndarray, float]:
@@ -183,7 +183,7 @@ def residual(A: Tensor, p, mode: int) -> tuple[np.ndarray, float]:
     p = np.asarray(p, dtype=float)
     if not np.any(p):
         raise ValueError("target marginal must be nonzero")
-    r = _line_residual(marginal(A, mode), p)
+    r = _line_residuals(marginal(A, mode)[None, :], p[None, :])[0]
     return r, float(np.abs(r).sum())
 
 
@@ -203,8 +203,7 @@ def _residual_norms(S: np.ndarray, P: MarginalFamily, bases: Optional[SubspaceBa
     """
     d, n = P.d, P.n
     if bases is None:
-        coef = (S * P.p).sum(axis=1) / (P.p * P.p).sum(axis=1)
-        R = S - coef[:, None] * P.p
+        R = _line_residuals(S, P.p)
         return np.abs(R).sum(axis=1), np.linalg.norm(R, axis=1)
     l1 = np.empty(d)
     l2 = np.empty(d)
@@ -215,6 +214,28 @@ def _residual_norms(S: np.ndarray, P: MarginalFamily, bases: Optional[SubspaceBa
         l1[j] = np.abs(proj).sum()
         l2[j] = np.linalg.norm(coords)
     return l1, l2
+
+
+def _svd_bases(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal column bases of the range and the null space of M, with
+    rank cut at ``_RCOND`` times the largest singular value.  The SVD is thin
+    on tall M, so no (rows x rows) factor is formed."""
+    u, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    rank = int(np.count_nonzero(s > _RCOND * s.max(initial=0.0)))
+    return u[:, :rank], vh[rank:].T
+
+
+def mode_orthogonal_blocks(P: MarginalFamily) -> list[np.ndarray]:
+    """Orthonormal bases of the per-mode blocks {y orthogonal to p_j},
+    embedded into the (d*n)-dimensional stacked space."""
+    d, n = P.d, P.n
+    blocks = []
+    for j in range(d):
+        base = _svd_bases(P.p[j][None, :])[1]  # (n, n-1)
+        emb = np.zeros((d * n, base.shape[1]))
+        emb[j * n:(j + 1) * n, :] = base
+        blocks.append(emb)
+    return blocks
 
 
 def support_subspaces(A: Tensor, P: MarginalFamily) -> SubspaceBases:
@@ -228,36 +249,27 @@ def support_subspaces(A: Tensor, P: MarginalFamily) -> SubspaceBases:
     d, n = A.d, A.n
     if P.d != d or P.n != n:
         raise ValueError("marginal family shape does not match the tensor")
-    dn = d * n
-    # rows <p_j, y_j> = 0, one per mode
-    p_rows = np.zeros((d, dn))
-    for j in range(d):
-        p_rows[j, j * n:(j + 1) * n] = P.p[j]
-    marginal_orth = null_space(p_rows, rcond=_RCOND)
+    blocks = mode_orthogonal_blocks(P)
+    marginal_orth = np.hstack(blocks)
 
     support = np.argwhere(A.data > 0)
     if support.size == 0:
         raise ContractViolation("tensor has empty support")
-    pattern = np.zeros((support.shape[0], dn))
-    rows = np.arange(support.shape[0])
+    cells = support.shape[0]
+    # one row per support cell, then rows <p_j, y_j> = 0, one per mode
+    constraints = np.zeros((cells + d, d * n))
     for j in range(d):
-        pattern[rows, j * n + support[:, j]] = 1.0
-    degenerate = null_space(np.vstack([pattern, p_rows]), rcond=_RCOND)
+        constraints[np.arange(cells), j * n + support[:, j]] = 1.0
+        constraints[cells + j, j * n:(j + 1) * n] = P.p[j]
+    degenerate = _svd_bases(constraints)[1]
 
     if degenerate.shape[1] == 0:
         complement = marginal_orth
     else:
         residual_basis = marginal_orth - degenerate @ (degenerate.T @ marginal_orth)
-        complement = orth(residual_basis, rcond=_RCOND)
+        complement = _svd_bases(residual_basis)[0]
 
-    mode_blocks = []
-    for j in range(d):
-        base = null_space(P.p[j][None, :], rcond=_RCOND)  # (n, n-1)
-        emb = np.zeros((dn, base.shape[1]))
-        emb[j * n:(j + 1) * n, :] = base
-        projected = complement @ (complement.T @ emb)
-        mode_blocks.append(orth(projected, rcond=_RCOND))
-
+    mode_blocks = [_svd_bases(complement @ (complement.T @ emb))[0] for emb in blocks]
     return SubspaceBases(marginal_orth=marginal_orth, degenerate=degenerate,
                          complement=complement, mode_blocks=mode_blocks)
 
@@ -265,10 +277,6 @@ def support_subspaces(A: Tensor, P: MarginalFamily) -> SubspaceBases:
 def iteration_bound(n: int, epsilon: float, mass: float, eta: float) -> float:
     """Certified ceiling on the number of scaling steps before stopping."""
     return 2.0 * (math.sqrt(n) + 1.0) ** 2 / epsilon**2 * math.log(mass / eta)
-
-
-def _fingerprint(arr: np.ndarray) -> str:
-    return hashlib.sha1(arr.tobytes()).hexdigest()[:16]
 
 
 def sinkhorn_scale(
@@ -315,7 +323,6 @@ def sinkhorn_scale(
 
     data0 = data / mass
     zero_mask = data0 == 0.0 if cfg.variant == "support" else None
-    shapes = [tuple(n if ax == j else 1 for ax in range(d)) for j in range(d)]
     sum_axes = [tuple(ax for ax in range(d) if ax != j) for j in range(d)]
     log_p = np.log(P.p)
     sel_bases = bases if cfg.variant == "support" else None
@@ -326,26 +333,17 @@ def sinkhorn_scale(
 
     k = 0
     while True:
-        E = X[0].reshape(shapes[0])
-        for j in range(1, d):
-            E = E + X[j].reshape(shapes[j])
-        if zero_mask is None:
-            current = data0 * np.exp(E)
-        else:
-            # exponents are unconstrained on zero cells and may overflow
-            with np.errstate(over="ignore", invalid="ignore"):
-                current = np.where(zero_mask, 0.0, data0 * np.exp(E))
+        current = _scaled(data0, X, zero_mask)
         S = np.stack([current.sum(axis=sum_axes[j]) for j in range(d)])
         norms_l1, norms_l2 = _residual_norms(S, P, sel_bases)
         worst = float(norms_l1.max())
         mode = int(np.argmax(norms_l1))
         g_val = float(S[0].sum()) - float(np.sum(P.p * X))
-        fp = _fingerprint(current)
         if worst < cfg.epsilon:
             trace.records.append(IterationRecord(
                 k=k, mode=None, residual_l1=worst,
                 residual_l2=float(norms_l2[mode]), kl=None,
-                g_value=g_val, fingerprint=fp))
+                g_value=g_val))
             trace.k_stop = k
             break
         if k >= max_iter:
@@ -360,7 +358,7 @@ def sinkhorn_scale(
         trace.records.append(IterationRecord(
             k=k, mode=mode, residual_l1=worst,
             residual_l2=float(norms_l2[mode]), kl=kl,
-            g_value=g_val, fingerprint=fp))
+            g_value=g_val))
         X[mode] += log_p[mode] - np.log(s_mode)
         k += 1
 

@@ -90,6 +90,17 @@ def matricize(C: Tensor) -> np.ndarray:
     return C.data.reshape(side, side)
 
 
+def _triangle_slack(D: np.ndarray) -> np.ndarray:
+    """min_k (D[i,k] + D[j,k]) - D[i,j] for every pair (i, j).
+
+    One pivot k at a time, so memory stays O(size^2), not O(size^3).
+    """
+    best = np.full(D.shape, np.inf)
+    for col in D.T:
+        np.minimum(best, col[:, None] + col[None, :], out=best)
+    return best - D
+
+
 def check_distance_matrix(D, tol: float = _ATOL) -> DistanceCheck:
     """Zero diagonal, symmetry, positive off-diagonal, all triangle inequalities."""
     D = np.asarray(D, dtype=float)
@@ -110,7 +121,7 @@ def check_distance_matrix(D, tol: float = _ATOL) -> DistanceCheck:
         i, j = np.unravel_index(np.argmin(flat), D.shape)
         return DistanceCheck(False, f"nonpositive off-diagonal at ({i}, {j}): {D[i, j]!r}")
     # d(i,j) <= d(i,k) + d(k,j) for every triple
-    slack = (D[:, None, :] + D[None, :, :]).min(axis=2) - D
+    slack = _triangle_slack(D)
     if slack.min() < -tol:
         i, j = np.unravel_index(np.argmin(slack), D.shape)
         k = int(np.argmin(D[i] + D[j]))
@@ -146,7 +157,7 @@ def check_multiset_distance(C: Tensor, tol: float = _ATOL) -> DistanceCheck:
     if asym.max(initial=0.0) > tol:
         i, j = np.unravel_index(np.argmax(asym), D.shape)
         return DistanceCheck(False, f"asymmetry at ({i}, {j})")
-    slack = (D[:, None, :] + D[None, :, :]).min(axis=2) - D
+    slack = _triangle_slack(D)
     if slack.min() < -tol:
         i, j = np.unravel_index(np.argmin(slack), D.shape)
         return DistanceCheck(False, f"triangle violation between tuples {i} and {j}")

@@ -238,6 +238,18 @@ def rescale_mode(A: Tensor, target, mode: int) -> Tensor:
     return Tensor(A.data * factor.reshape(_axis_shape(A.d, mode, A.n)))
 
 
+def _scaled(data: np.ndarray, X: np.ndarray, zeros=None) -> np.ndarray:
+    """data * exp(sum_j X[j, i_j]), exactly 0 where ``zeros`` is set; exponents
+    are unconstrained on zero cells and may overflow there harmlessly."""
+    d, n = X.shape
+    E = X[0].reshape(_axis_shape(d, 0, n))
+    for j in range(1, d):
+        E = E + X[j].reshape(_axis_shape(d, j, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = data * np.exp(E)
+    return out if zeros is None else np.where(zeros, 0.0, out)
+
+
 def apply_scaling(A: Tensor, exponents) -> Tensor:
     """Entrywise multiply A by exp(sum_j x[j, i_j]).
 
@@ -249,13 +261,7 @@ def apply_scaling(A: Tensor, exponents) -> Tensor:
         raise ValueError(f"expected scaling exponents of shape {(A.d, A.n)}, got {X.shape}")
     if not np.isfinite(X).all():
         raise ContractViolation("scaling exponents must be finite")
-    E = X[0].reshape(_axis_shape(A.d, 0, A.n)).copy()
-    for j in range(1, A.d):
-        E = E + X[j].reshape(_axis_shape(A.d, j, A.n))
-    out = A.data * np.exp(E)
-    if np.any(A.data == 0):
-        out = np.where(A.data == 0, 0.0, out)
-    return Tensor(out)
+    return Tensor(_scaled(A.data, X, A.data == 0))
 
 
 def inner(A: Tensor, B: Tensor) -> float:

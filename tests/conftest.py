@@ -1,14 +1,25 @@
 """Shared random-instance builders and independent brute-force oracles."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tensorot
 from tensorot import MarginalFamily, Tensor
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def package_env():
+    """Environment for a child interpreter that imports this tensorot."""
+    root = str(Path(tensorot.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": root if not path else root + os.pathsep + path}
 
 
 def random_marginals(rng, d, n, floor=0.2):

@@ -1,6 +1,8 @@
 """Command-line front door: subcommands, JSON output, exit codes."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from tensorot import MarginalFamily, Tensor, lift_ground_metric, save_marginals, save_tensor
 from tensorot.cli import run
 
-from conftest import random_cost, random_marginals
+from conftest import package_env, random_cost, random_marginals
 
 
 @pytest.fixture
@@ -229,3 +231,23 @@ class TestExitCodes:
                     "--marginals", str(tmp_path / "p.json"),
                     "--epsilon", "0.1", "--nonnegative"])
         assert code == 3
+
+
+class TestProcess:
+    def test_module_entry_point_matches_run(self, files, capsys):
+        _, cost, marg, *_ = files
+        argv = ["approx", "--cost", str(cost), "--marginals", str(marg), "--delta", "0.2"]
+        assert run(argv) == 0
+        expected = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "tensorot.cli", *argv],
+                              capture_output=True, text=True, env=package_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
+
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, tensorot\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=package_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """Greedy scaling: residuals, mode selection, stopping, traces, subspaces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from tensorot import (
     sinkhorn_scale,
     support_subspaces,
 )
+from tensorot.scaling import _svd_bases
 
 from conftest import max_marginal_gap, random_marginals, random_positive_tensor
 
@@ -306,6 +308,32 @@ class TestSupportSubspaces:
         # directions vanish on the support and stay orthogonal to p
         for col in bases.degenerate.T:
             assert abs(col[0]) < 1e-12 and abs(col[2]) < 1e-12
+
+    def test_memory_stays_linear_in_cells(self):
+        # 4096 support cells: a (cells x cells) SVD factor alone is 128 MiB
+        A = ones_tensor(3, 16)
+        P = uniform_family(3, 16)
+        tracemalloc.start()
+        try:
+            support_subspaces(A, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+class TestSvdBases:
+    @pytest.mark.parametrize("rows, cols, rank", [
+        (4, 9, 3), (9, 4, 3), (40, 12, 7), (5, 5, 2), (1, 6, 1), (6, 1, 0)])
+    def test_projectors_match_scipy(self, rng, rows, cols, rank):
+        from scipy.linalg import null_space, orth
+
+        M = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+        col_basis, null_basis = _svd_bases(M)
+        for ours, ref in ((col_basis, orth(M, rcond=1e-10)),
+                          (null_basis, null_space(M, rcond=1e-10))):
+            assert ours.shape == ref.shape
+            assert np.abs(ours @ ours.T - ref @ ref.T).max() < 1e-10
 
 
 class TestSinkhornSupportVariant:

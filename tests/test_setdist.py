@@ -21,6 +21,7 @@ from tensorot import (
     pair_distance,
     set_distance,
 )
+from tensorot.setdist import _triangle_slack
 
 from conftest import random_marginals
 
@@ -82,6 +83,13 @@ class TestDistanceMatrixCheck:
     def test_asymmetry(self):
         D = np.array([[0.0, 1.0], [2.0, 0.0]])
         assert "asymmetry" in check_distance_matrix(D).violation
+
+    def test_slack_matches_full_broadcast(self, rng):
+        for size in (1, 4, 7, 13):
+            D = rng.random((size, size))
+            D = D + D.T
+            full = (D[:, None, :] + D[None, :, :]).min(axis=2) - D
+            assert np.array_equal(_triangle_slack(D), full)
 
 
 class TestBisymmetry:
