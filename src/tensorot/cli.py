@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -21,7 +20,7 @@ from .lp import solve_exact_tot, scalability_check
 from .rounding import round_to_polytope
 from .scaling import SinkhornConfig, sinkhorn_scale
 from .setdist import cost_profile, set_distance
-from .tensor import all_marginals, inner, l1_distance
+from .tensor import _fsum, all_marginals, inner, l1_distance
 from .transport import approx_tot, entropic_bracket, entropic_tot
 
 __all__ = ["run", "main"]
@@ -107,7 +106,7 @@ def _cmd_round(args) -> int:
     gaps = np.abs(all_marginals(F) - P.p).sum(axis=1)
     _emit({
         "movement_l1": l1_distance(plan, F),
-        "movement_bound": 2.0 * math.fsum(gaps.tolist()),
+        "movement_bound": 2.0 * _fsum(gaps),
         "plan_file": _save_plan(plan, args.plan_out),
     })
     return 0

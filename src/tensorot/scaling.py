@@ -158,7 +158,7 @@ def kl_divergence(p, q) -> float:
     if np.any(q[mask] <= 0):
         return math.inf
     pm = p[mask]
-    return math.fsum((pm * (np.log(pm) - np.log(q[mask]))).tolist())
+    return _fsum(pm * (np.log(pm) - np.log(q[mask])))
 
 
 def log_marginal_fit(A: Tensor, p, mode: int) -> np.ndarray:

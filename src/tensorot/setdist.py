@@ -132,6 +132,17 @@ def check_distance_matrix(D, tol: float = _ATOL) -> DistanceCheck:
     return DistanceCheck(True, None)
 
 
+def _same_multiset(n: int, half: int) -> np.ndarray:
+    """(size, size) mask of the index-tuple pairs that are equal as multisets.
+
+    Each tuple's key is the flat index of its sorted digits.
+    """
+    shape = (n,) * half
+    digits = np.sort(np.stack(np.unravel_index(np.arange(n**half), shape)), axis=0)
+    keys = np.ravel_multi_index(tuple(digits), shape)
+    return keys[:, None] == keys[None, :]
+
+
 def check_multiset_distance(C: Tensor, tol: float = _ATOL) -> DistanceCheck:
     """Multiset-style distance axioms: zero exactly on equal index
     multisets, positive otherwise, symmetric, all triangle inequalities.
@@ -143,8 +154,7 @@ def check_multiset_distance(C: Tensor, tol: float = _ATOL) -> DistanceCheck:
     half = _half(C)
     D = matricize(C)
     size = D.shape[0]
-    tuples = [np.unravel_index(i, (C.n,) * half) for i in range(size)]
-    same = np.array([[sorted(a) == sorted(b) for b in tuples] for a in tuples])
+    same = _same_multiset(C.n, half)
     if np.abs(D[same]).max(initial=0.0) > tol:
         flat = np.where(same, np.abs(D), -np.inf)
         i, j = np.unravel_index(np.argmax(flat), D.shape)

@@ -6,10 +6,11 @@ functions: mode marginals, single-mode rescaling, diagonal scalings in the
 log domain, inner products, entropy, and outer products of marginal
 vectors.
 
-Scalar reductions over all ``n**d`` cells go through ``math.fsum``
-(compensated summation), so the accumulated error stays far below the
-tolerances the stopping rules work at.  Vector-valued marginals use
-numpy's pairwise reduction, which is deterministic for a fixed shape.
+Scalar reductions over all ``n**d`` cells are correctly rounded: they
+return exactly what ``math.fsum`` returns on the same entries, bit for bit,
+but large inputs are summed in a few numpy passes instead of one Python
+float per cell.  Vector-valued marginals use numpy's pairwise reduction,
+which is deterministic for a fixed shape.
 """
 
 from __future__ import annotations
@@ -39,10 +40,59 @@ __all__ = [
 
 MASS_RTOL = 1e-12
 
+# Up to this many entries math.fsum over a list is cheaper than the passes.
+_SHORT_SUM = 1024
+# Entries per block of a pass: the block and its residual stay in cache.
+_SUM_BLOCK = 32768
+_SUM_PASSES = 3
+
 
 def _fsum(values) -> float:
-    """Compensated sum of an array's entries."""
-    return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
+    """Correctly rounded sum of an array's entries, equal to ``math.fsum``.
+
+    Error-free vector extraction (Rump, Ogita & Oishi, "Accurate
+    floating-point summation, Part I", SISC 2008): with ``2**m >= size + 2``
+    and ``sigma = 2**(m + e)`` for a residual bounded by ``2**e``, each
+    ``q = (sigma + r) - sigma`` and ``r - q`` are exact and so is any sum of
+    the ``q``.  After each pass the exact total lies within
+    ``2**m * max|r|`` of the extracted parts; once ``math.fsum`` rounds both
+    ends of that interval to one float, that float is the correctly rounded
+    total.  Non-finite entries, extreme exponents, zero totals and
+    unresolved intervals fall back to ``math.fsum`` itself, which keeps its
+    ``inf``/``nan``/``OverflowError``/``ValueError`` behaviour and the sign
+    of a zero.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    if x.size <= _SHORT_SUM:
+        return math.fsum(x.tolist())
+    m = (x.size + 1).bit_length()
+    mu = max(float(x.max()), -float(x.min()))
+    r = x
+    res = np.empty_like(x)
+    q = np.empty(min(_SUM_BLOCK, x.size))
+    parts = []
+    for _ in range(_SUM_PASSES):
+        e = m + math.frexp(mu)[1]
+        if not (math.isfinite(mu) and -1000 < e < 1000):
+            break
+        sigma = math.ldexp(1.0, e)
+        part = mu = 0.0
+        for start in range(0, x.size, _SUM_BLOCK):
+            block = r[start:start + _SUM_BLOCK]
+            qb = np.add(block, sigma, out=q[:block.size])
+            qb -= sigma
+            part += float(qb.sum())
+            rb = np.subtract(block, qb, out=res[start:start + _SUM_BLOCK])
+            mu = max(mu, float(rb.max()), -float(rb.min()))
+        r = res
+        parts.append(part)
+        bound = math.ldexp(mu, m)
+        low = math.fsum(parts + [-bound])
+        if low != 0.0 and low == math.fsum(parts + [bound]):
+            return low
+        if bound == 0.0:
+            break
+    return math.fsum(x.tolist())
 
 
 class Tensor:
@@ -139,7 +189,7 @@ class MarginalFamily:
             raise ValueError("expected d vectors of a common length n")
         if np.any(p <= 0) or not np.isfinite(p).all():
             raise ContractViolation("marginal vectors must be strictly positive and finite")
-        masses = [math.fsum(row.tolist()) for row in p]
+        masses = [_fsum(row) for row in p]
         h = masses[0]
         if any(abs(m - h) > MASS_RTOL * h for m in masses):
             raise ContractViolation(
@@ -162,7 +212,7 @@ class MarginalFamily:
     @property
     def h(self) -> float:
         """Common l1 mass of the marginal vectors."""
-        return math.fsum(self.p[0].tolist())
+        return _fsum(self.p[0])
 
     def vector(self, mode: int) -> np.ndarray:
         return self.p[mode]

@@ -21,7 +21,7 @@ from tensorot import (
     pair_distance,
     set_distance,
 )
-from tensorot.setdist import _triangle_slack
+from tensorot.setdist import _same_multiset, _triangle_slack
 
 from conftest import random_marginals
 
@@ -297,6 +297,28 @@ class TestMultisetDistanceCheck:
         delta = ground_metric(3, rng)
         C = lift_ground_metric(delta, 2, mode="matching")
         assert check_multiset_distance(C).ok == check_distance_matrix(delta).ok
+
+    @pytest.mark.parametrize("n, half", [(3, 1), (5, 2), (4, 3)])
+    def test_mask_matches_sorted_tuples(self, n, half):
+        tuples = [np.unravel_index(i, (n,) * half) for i in range(n**half)]
+        expected = np.array([[sorted(a) == sorted(b) for b in tuples] for a in tuples])
+        assert np.array_equal(_same_multiset(n, half), expected)
+
+    @pytest.mark.parametrize("mode, order, violation", [
+        ("sum", 4, "nonzero cost on equal multisets at (5, 7)"),
+        ("sum", 6, "nonzero cost on equal multisets at (5, 15)"),
+        ("matching", 4, None),
+        ("matching", 6, None),
+    ])
+    def test_lift_verdicts(self, rng, mode, order, violation):
+        check = check_multiset_distance(lift_ground_metric(ground_metric(3, rng), order, mode=mode))
+        assert (check.ok, check.violation) == (violation is None, violation)
+
+    def test_zero_on_distinct_multisets(self):
+        D = matricize(lift_ground_metric(ground_metric(3), 4, mode="matching")).copy()
+        D[0, 1] = D[1, 0] = 0.0
+        check = check_multiset_distance(Tensor(D.reshape((3,) * 4)))
+        assert check.violation == "nonpositive cost on distinct multisets at (0, 1)"
 
 
 class TestCostProfile:

@@ -28,6 +28,7 @@ from tensorot import (
     save_tensor,
 )
 from tensorot.io import FileFormatError
+from tensorot.tensor import _SHORT_SUM, _fsum
 
 from conftest import brute_inner, brute_marginal, random_marginals, random_positive_tensor
 
@@ -188,6 +189,99 @@ class TestInner:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             inner(ones_tensor(2, 2), ones_tensor(3, 2))
+
+
+def _sum_outcome(total, values):
+    """Bits of the sum, or the exception class it raised."""
+    try:
+        return float.hex(total(values))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _reference_sum(values):
+    return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
+
+
+class TestFsum:
+    """_fsum must return math.fsum's bits whether or not it takes the numpy passes."""
+
+    def assert_same(self, values):
+        assert _sum_outcome(_fsum, values) == _sum_outcome(_reference_sum, values)
+
+    @pytest.mark.parametrize("size", [1, 7, _SHORT_SUM, _SHORT_SUM + 1, 4099, 65537, 262144])
+    def test_random_arrays(self, rng, size):
+        self.assert_same(rng.random(size))
+        self.assert_same(-rng.random(size))
+        self.assert_same(rng.standard_normal(size))
+        self.assert_same(rng.random((size, 1)) * 1e-3 - 1e-4)
+        self.assert_same(rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size))
+        self.assert_same(rng.standard_normal(size) * 10.0 ** rng.integers(-12, 12, size))
+        self.assert_same(-np.log(rng.random(size)) * rng.random(size) / size)
+
+    @pytest.mark.parametrize("size", [_SHORT_SUM, _SHORT_SUM + 1, 40000])
+    def test_exact_cancellation(self, rng, size):
+        half = rng.standard_normal(size // 2) * 10.0 ** rng.integers(-20, 20, size // 2)
+        pairs = np.concatenate([half, -half])
+        rng.shuffle(pairs)
+        self.assert_same(pairs)
+        self.assert_same(np.concatenate([pairs, [1e-300]]))
+        self.assert_same(np.concatenate([pairs, [2.0**-60, 1.0]]))
+
+    @pytest.mark.parametrize("size", [_SHORT_SUM, _SHORT_SUM + 1, 40000])
+    def test_subnormals(self, rng, size):
+        self.assert_same(rng.integers(-1000, 1000, size) * 5e-324)
+        self.assert_same(rng.random(size) * 1e-310)
+        self.assert_same(np.ldexp(rng.choice([-1.0, 1.0], size), rng.integers(-1074, 1000, size)))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_residuals_summing_past_a_rounding_boundary(self, sign):
+        # 4094 residuals of 2**-4 left by the first pass add up to 255.875,
+        # which moves the total 2**60 to its next float: only a bound of
+        # 2**m times the largest residual, over both signs, brackets that.
+        x = np.full(4095, sign * 2.0**-4)
+        x[0] = 2.0**60
+        self.assert_same(x)
+        assert _fsum(x) == 2.0**60 + sign * 256.0
+
+    def test_rounding_ties(self, rng):
+        for size in (_SHORT_SUM + 1, 5000):
+            x = rng.integers(0, 2**20, size).astype(float)
+            x[0] = 2.0**60
+            for tail in (0.5, 1.5, 0.0, -0.5):
+                x[1] = tail
+                self.assert_same(x)
+
+    def test_large_sums_skip_the_float_list(self, rng, monkeypatch):
+        x = rng.random((24,) * 4)
+        expected = _reference_sum(x)
+        lengths = []
+
+        def recording_fsum(values, fsum=math.fsum):
+            lengths.append(len(values))
+            return fsum(values)
+
+        monkeypatch.setattr(math, "fsum", recording_fsum)
+        total = _fsum(x)
+        monkeypatch.undo()
+        assert total == expected
+        assert lengths and max(lengths) <= 4
+
+    @pytest.mark.parametrize("values", [
+        [], [-0.0], [0.0, -0.0], np.zeros(5000), -np.zeros(5000), np.zeros((64, 64, 64)),
+    ])
+    def test_zero_totals(self, values):
+        self.assert_same(values)
+
+    @pytest.mark.parametrize("special", [
+        [np.inf], [-np.inf], [np.nan], [np.inf, -np.inf], [1e308, 1e308], [-1e308, -1e308],
+    ])
+    @pytest.mark.parametrize("size", [4, _SHORT_SUM + 1, 5000])
+    def test_nonfinite_and_overflow(self, rng, special, size):
+        x = rng.random(size)
+        x[: len(special)] = special
+        rng.shuffle(x)
+        self.assert_same(x)
 
 
 class TestEntropy:
