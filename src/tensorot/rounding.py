@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
-from .tensor import MarginalFamily, Tensor, _fsum, all_marginals, outer
+from .tensor import MarginalFamily, Tensor, _axis_shape, _fsum, all_marginals
 
 __all__ = ["shrink_to_submarginals", "rank_one_correction", "round_to_polytope"]
 
@@ -26,16 +26,16 @@ def shrink_to_submarginals(F: Tensor, P: MarginalFamily) -> tuple[Tensor, np.nda
     if (P.d, P.n) != (F.d, F.n):
         raise ValueError("marginal family shape does not match the tensor")
     F.require_nonnegative("plan to round")
-    data = F.data
-    if not np.any(data > 0):
+    if not np.any(F.data > 0):
         raise ContractViolation("cannot round the zero tensor")
     d, n = F.d, F.n
+    data = F.data.copy()
     for j in range(d):
         axes = tuple(ax for ax in range(d) if ax != j)
         s = data.sum(axis=axes)
         with np.errstate(divide="ignore", invalid="ignore"):
             factor = np.where(s > 0, np.minimum(P.p[j] / s, 1.0), 1.0)
-        data = data * factor.reshape(tuple(n if ax == j else 1 for ax in range(d)))
+        data *= factor.reshape(_axis_shape(d, j, n))
     G = Tensor(data)
     return G, all_marginals(G)
 
@@ -61,8 +61,12 @@ def rank_one_correction(G: Tensor, submarginals, P: MarginalFamily) -> Tensor:
     missing = h - h_prime
     if missing <= 1e-15 * max(1.0, h):
         return G
-    correction = outer(list(diff)).data / missing ** (P.d - 1)
-    return Tensor(G.data + correction)
+    correction = diff[0]
+    for row in diff[1:]:
+        correction = np.multiply.outer(correction, row)
+    correction /= missing ** (P.d - 1)
+    correction += G.data
+    return Tensor(correction)
 
 
 def round_to_polytope(F: Tensor, P: MarginalFamily) -> Tensor:

@@ -7,9 +7,15 @@ residual is used directly; for tensors with zeros the residual is first
 pushed through the support-aware subspace decomposition, which ignores
 directions along which the scaling cannot move.
 
-Iterates are rematerialized from the normalized input and the accumulated
-log-domain exponents on every step, so the returned exponents reproduce
-the final iterate exactly.
+A step adds its log-domain update to the accumulated exponents and
+multiplies the chosen mode's slices of a private working iterate in place
+by its exponential, as Greenkhorn does (Altschuler, Weed & Rigollet,
+NeurIPS 2017).  The working iterate is rebuilt from the normalized input
+and the exponents only when it passes the stopping test, and then the test
+is taken again on the rebuilt iterate, so the returned exponents reproduce
+the returned iterate exactly.  Long runs also rebuild every
+``_REBUILD_STEPS`` steps, which keeps the rounding drift of the working
+iterate bounded.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolation, DegenerateSliceError, NonConvergenceError
-from .tensor import MarginalFamily, Tensor, _fsum, _scaled, marginal
+from .tensor import MarginalFamily, Tensor, _axis_shape, _fsum, _marginals, _scaled, marginal
 
 __all__ = [
     "SinkhornConfig",
@@ -41,6 +47,11 @@ __all__ = [
 
 _RCOND = 1e-10
 VARIANTS = ("positive", "support")
+# The working iterate is also rebuilt after this many steps without a
+# rebuild: its drift grows about linearly with the steps (about 2e-17 in
+# l1 per step on d=3, n=6 kernels), and a long run must stay a probability
+# tensor to 1e-12.
+_REBUILD_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -81,6 +92,8 @@ class SinkhornTrace:
     bound: Optional[float] = None
     eta: Optional[float] = None
     mass: Optional[float] = None
+    rematerializations: int = 0  # rebuilds of the iterate from the exponents
+    drift: float = 0.0  # largest l1 gap, at a rebuild, of working vs rebuilt marginals
 
     @property
     def g_values(self) -> np.ndarray:
@@ -189,8 +202,7 @@ def residual(A: Tensor, p, mode: int) -> tuple[np.ndarray, float]:
 
 def select_mode(A: Tensor, P: MarginalFamily, bases: Optional[SubspaceBases] = None) -> int:
     """Mode with the largest residual norm; ties break to the smallest index."""
-    norms = _residual_norms(np.stack([marginal(A, j) for j in range(A.d)]),
-                            P, bases)[0]
+    norms = _residual_norms(_marginals(A.data), P, bases)[0]
     return int(np.argmax(norms))
 
 
@@ -292,6 +304,14 @@ def sinkhorn_scale(
     log-domain exponents X with ``apply_scaling(A/||A||_1, X)`` equal to
     the stopped iterate, and the full trace.
 
+    Each step rescales the chosen mode of a working copy of A/||A||_1 in
+    place.  When the working iterate passes the stopping test, it is
+    rebuilt once from A/||A||_1 and X and tested again: if the rebuilt
+    iterate passes, it is returned; otherwise the steps go on from it and
+    the discarded test leaves no record.  A run also rebuilds after
+    ``_REBUILD_STEPS`` steps without one.  The trace counts the rebuilds
+    and keeps the largest l1 gap between working and rebuilt marginals.
+
     Raises :class:`NonConvergenceError` (carrying the trace) if the cap on
     iterations is hit; for the support variant that usually means the
     input is not scalable to the polytope.
@@ -314,8 +334,8 @@ def sinkhorn_scale(
             bases = support_subspaces(A, P)
         eta = A.min_positive()
     mass = _fsum(data)
-    for j in range(d):
-        if np.any(marginal(A, j) <= 0):
+    for j, s in enumerate(_marginals(data)):
+        if np.any(s <= 0):
             raise DegenerateSliceError(f"mode {j} has a slice with zero mass")
 
     bound = iteration_bound(n, cfg.epsilon, mass, eta)
@@ -323,7 +343,6 @@ def sinkhorn_scale(
 
     data0 = data / mass
     zero_mask = data0 == 0.0 if cfg.variant == "support" else None
-    sum_axes = [tuple(ax for ax in range(d) if ax != j) for j in range(d)]
     log_p = np.log(P.p)
     sel_bases = bases if cfg.variant == "support" else None
 
@@ -331,12 +350,20 @@ def sinkhorn_scale(
     trace = SinkhornTrace(epsilon=cfg.epsilon, variant=cfg.variant,
                           bound=bound, eta=eta, mass=mass)
 
+    current = data0.copy()  # equals _scaled(data0, X) while X is zero
+    S = _marginals(current)
+    rebuilt = True
     k = 0
     while True:
-        current = _scaled(data0, X, zero_mask)
-        S = np.stack([current.sum(axis=sum_axes[j]) for j in range(d)])
         norms_l1, norms_l2 = _residual_norms(S, P, sel_bases)
         worst = float(norms_l1.max())
+        if not rebuilt and (worst < cfg.epsilon or k % _REBUILD_STEPS == 0):
+            current = _scaled(data0, X, zero_mask)
+            fresh = _marginals(current)
+            trace.rematerializations += 1
+            trace.drift = max(trace.drift, float(np.abs(fresh - S).sum()))
+            S, rebuilt = fresh, True
+            continue
         mode = int(np.argmax(norms_l1))
         g_val = float(S[0].sum()) - float(np.sum(P.p * X))
         if worst < cfg.epsilon:
@@ -359,7 +386,13 @@ def sinkhorn_scale(
             k=k, mode=mode, residual_l1=worst,
             residual_l2=float(norms_l2[mode]), kl=kl,
             g_value=g_val))
-        X[mode] += log_p[mode] - np.log(s_mode)
+        row = X[mode] + (log_p[mode] - np.log(s_mode))
+        # apply the increment X takes after rounding, so the working
+        # iterate tracks exp(X) and rounding in X does not pile up as drift
+        current *= np.exp(row - X[mode]).reshape(_axis_shape(d, mode, n))
+        X[mode] = row
+        S = _marginals(current)
+        rebuilt = False
         k += 1
 
     return Tensor(current), X, trace

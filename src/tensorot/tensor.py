@@ -263,9 +263,27 @@ def marginal(A: Tensor, mode: int) -> np.ndarray:
     return A.data.sum(axis=axes)
 
 
+def _marginals(a: np.ndarray) -> np.ndarray:
+    """All d marginals of an ``(n,)*d`` array as a (d, n) array.
+
+    Leading-axis passes: marginal j is the row sums of what is left after
+    axes 0..j-1 have been summed out, so the full array is read twice and
+    every later pass reads a factor n less.
+    """
+    d, n = a.ndim, a.shape[0]
+    out = np.empty((d, n))
+    rest = a
+    for j in range(d - 1):
+        rows = rest.reshape(n, n ** (d - 1 - j))
+        out[j] = rows.sum(axis=1)
+        rest = rows.sum(axis=0)
+    out[d - 1] = rest
+    return out
+
+
 def all_marginals(A: Tensor) -> np.ndarray:
     """All d marginals stacked as a (d, n) array."""
-    return np.stack([marginal(A, j) for j in range(A.d)])
+    return _marginals(A.data)
 
 
 def rescale_mode(A: Tensor, target, mode: int) -> Tensor:

@@ -12,7 +12,9 @@ from tensorot import (
     NonConvergenceError,
     SinkhornConfig,
     Tensor,
+    all_marginals,
     apply_scaling,
+    exp_neg_scaled,
     g_value,
     iteration_bound,
     kl_divergence,
@@ -26,9 +28,10 @@ from tensorot import (
     sinkhorn_scale,
     support_subspaces,
 )
+from tensorot import scaling
 from tensorot.scaling import _svd_bases
 
-from conftest import max_marginal_gap, random_marginals, random_positive_tensor
+from conftest import max_marginal_gap, random_cost, random_marginals, random_positive_tensor
 
 
 def uniform_family(d, n):
@@ -255,6 +258,128 @@ class TestSinkhornPositive:
         assert set(lines[0]) == {"k", "mode", "residual_l1", "kl", "g_value"}
         assert set(lines[-1]) == {"k_stop", "bound", "eta", "mass"}
         assert lines[-1]["k_stop"] == trace.k_stop
+
+
+def _with_zeros(rng, d, n, share=0.15):
+    """Random tensor with about ``share`` of its cells set to 0, and the
+    marginals of another tensor on the same support, so it is scalable."""
+    zeros = rng.random((n,) * d) < share
+    A, B = (np.where(zeros, 0.0, 0.1 + rng.random(zeros.shape)) for _ in range(2))
+    return Tensor(A), MarginalFamily(all_marginals(Tensor(B / B.sum())))
+
+
+def _reference_scale(A, P, epsilon):
+    """The greedy loop rebuilt from the exponents on every step, with
+    per-mode residuals: the step sequence sinkhorn_scale must follow."""
+    A0 = Tensor(A.data / l1_norm(A))
+    X = np.zeros((P.d, P.n))
+    modes, residuals = [], []
+    while True:
+        current = apply_scaling(A0, X)
+        norms = [residual(current, P.p[j], j)[1] for j in range(P.d)]
+        residuals.append(max(norms))
+        if residuals[-1] < epsilon:
+            return current, X, modes, residuals
+        mode = int(np.argmax(norms))
+        modes.append(mode)
+        X[mode] += log_marginal_fit(current, P.p[mode], mode)
+
+
+class TestIncrementalStep:
+    """Steps rescale one mode in place; the iterate is rebuilt from the
+    exponents only at a stopping check or after a long run of steps."""
+
+    def _long_solve(self, rng):
+        C = random_cost(rng, 3, 4)
+        P = random_marginals(rng, 3, 4)
+        return exp_neg_scaled(C, 30.0), P, SinkhornConfig(epsilon=1e-4)
+
+    def test_scaled_runs_only_for_counted_rebuilds(self, rng, monkeypatch):
+        calls = []
+        real = scaling._scaled
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(scaling, "_scaled", spy)
+        _, _, trace = sinkhorn_scale(*self._long_solve(rng))
+        assert trace.k_stop > 50
+        assert 1 <= len(calls) <= trace.rematerializations
+
+    def test_drift_is_tiny(self, rng):
+        _, _, trace = sinkhorn_scale(*self._long_solve(rng))
+        assert trace.rematerializations >= 1
+        assert 0.0 <= trace.drift < 1e-12
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_long_solve_keeps_drift_and_mass_small(self, seed):
+        # about 1,000-1,600 steps with exponents above 100 in magnitude
+        rng = np.random.default_rng([11, seed])
+        A = exp_neg_scaled(random_cost(rng, 2, 3), 400.0)
+        P = random_marginals(rng, 2, 3)
+        scaled, X, trace = sinkhorn_scale(A, P, SinkhornConfig(epsilon=3e-4))
+        assert trace.k_stop > 900 and np.abs(X).max() > 100
+        assert trace.rematerializations >= 1 + trace.k_stop // scaling._REBUILD_STEPS
+        assert trace.drift < 1e-13
+        assert abs(l1_norm(scaled) - 1.0) < 1e-13
+
+    def test_immediate_stop_rebuilds_nothing(self, rng):
+        P = random_marginals(rng, 3, 3)
+        scaled, X, trace = sinkhorn_scale(outer(P.p), P, SinkhornConfig(epsilon=0.05))
+        assert trace.k_stop == 0
+        assert trace.rematerializations == 0 and trace.drift == 0.0
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("variant", ["positive", "support"])
+    def test_iterate_equals_applied_exponents(self, rng, d, variant):
+        n = 3
+        if variant == "support":
+            A, P = _with_zeros(rng, d, n)
+            assert np.any(A.data == 0)
+        else:
+            A, P = random_positive_tensor(rng, d, n), random_marginals(rng, d, n)
+        scaled, X, trace = sinkhorn_scale(A, P, SinkhornConfig(epsilon=1e-3, variant=variant))
+        assert trace.k_stop > 0
+        A0 = Tensor(A.data / l1_norm(A))
+        assert np.array_equal(apply_scaling(A0, X).data, scaled.data)
+
+    def test_matches_rebuild_every_step(self):
+        for seed in range(20):
+            rng = np.random.default_rng([7, seed])
+            d = 3 + seed % 3
+            n = 3 + seed % 2
+            A = exp_neg_scaled(random_cost(rng, d, n), 10.0)
+            P = random_marginals(rng, d, n)
+            scaled, X, trace = sinkhorn_scale(A, P, SinkhornConfig(epsilon=1e-4))
+            ref, ref_X, modes, residuals = _reference_scale(A, P, 1e-4)
+            assert trace.k_stop == len(modes)
+            assert trace.modes == modes + [None]
+            assert np.allclose(trace.residuals, residuals, rtol=1e-10, atol=0.0)
+            assert np.allclose(X, ref_X, rtol=1e-12, atol=1e-14)
+            assert np.allclose(scaled.data, ref.data, rtol=1e-12, atol=0.0)
+
+    def test_failed_recheck_keeps_stepping(self, rng, monkeypatch):
+        # the first rebuild is spoiled, so its recheck fails and the run goes on
+        A, P, cfg = self._long_solve(rng)
+        real = scaling._scaled
+        calls = []
+
+        def spoiled_once(data, X, zeros=None):
+            out = real(data, X, zeros)
+            calls.append(1)
+            if len(calls) == 1:
+                out[0] *= 3.0
+                out /= out.sum()
+            return out
+
+        monkeypatch.setattr(scaling, "_scaled", spoiled_once)
+        scaled, X, trace = sinkhorn_scale(A, P, cfg)
+        assert trace.rematerializations == len(calls) >= 2
+        assert [r.k for r in trace.records] == list(range(trace.k_stop + 1))
+        assert trace.modes.count(None) == 1 and trace.modes[-1] is None
+        assert trace.residuals[-1] < cfg.epsilon
+        assert trace.drift > 0.1  # the spoiled rebuild moved the marginals
 
 
 class TestSupportSubspaces:

@@ -28,7 +28,7 @@ from tensorot import (
     save_tensor,
 )
 from tensorot.io import FileFormatError
-from tensorot.tensor import _SHORT_SUM, _fsum
+from tensorot.tensor import _SHORT_SUM, _fsum, _marginals
 
 from conftest import brute_inner, brute_marginal, random_marginals, random_positive_tensor
 
@@ -101,6 +101,29 @@ class TestMarginal:
     def test_order_one(self):
         A = Tensor([0.3, 0.7])
         assert np.array_equal(marginal(A, 0), [0.3, 0.7])
+
+
+class TestAllMarginals:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_matches_per_mode_sums(self, rng, d, n, zeros):
+        data = rng.random((n,) * d)
+        if zeros:
+            data[rng.random(data.shape) < 0.3] = 0.0
+        A = Tensor(data)
+        M = all_marginals(A)
+        assert M.shape == (d, n)
+        want = np.stack([marginal(A, j) for j in range(d)])
+        assert np.allclose(M, want, rtol=1e-14, atol=0.0)
+        assert np.array_equal(A.data, data)
+
+    def test_leaves_a_writable_input_alone(self, rng):
+        data = rng.random((4,) * 4)
+        before = data.copy()
+        M = _marginals(data)
+        assert np.array_equal(data, before)
+        assert M.shape == (4, 4)
 
 
 class TestRescaleMode:
