@@ -82,7 +82,6 @@ from .tensor import (
     ones_tensor,
     outer,
     rescale_mode,
-    zero_scaling,
 )
 from .transport import (
     EntropicResult,

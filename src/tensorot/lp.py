@@ -2,10 +2,16 @@
 
 The transport LP is solved on the flattened tensor with one equality row
 per (mode, first n-1 indices) pair plus a single total-mass row — the
-minimal independent system.  Pricing is Dantzig's rule, switching to
-Bland's rule after 2*(rows+cols) iterations to rule out cycling.  A
-second front end decides whether a zero pattern admits a feasible plan
-with that exact support by maximizing the minimum support entry.
+minimal independent system.  Pricing has one rule: Dantzig's, switching
+to Bland's after 2*(rows+cols) pivots to rule out cycling.  The duals are
+read off the final tableau, whose artificial columns hold the basis
+inverse.
+
+A second front end decides whether a zero pattern admits a feasible plan
+with that exact support by maximizing the minimum support entry t.
+Writing the support entries as u = s + t with s, t >= 0 turns this into
+max t subject to [A_sup | A_sup @ 1] (s, t) = b on the transport rows
+alone: no slack or coupling rows, one extra column.
 """
 
 from __future__ import annotations
@@ -56,7 +62,6 @@ class SimplexResult:
     x: np.ndarray
     value: float
     duals: Optional[np.ndarray]
-    basis: list[int]
     iterations: int
 
 
@@ -69,8 +74,7 @@ def _pivot(T: np.ndarray, zrow: np.ndarray, basis: list[int], row: int, col: int
     basis[row] = col
 
 
-def _choose_entering(zrow, eligible, use_bland) -> Optional[int]:
-    reduced = np.where(eligible, zrow[:-1], np.inf)
+def _choose_entering(reduced, use_bland) -> Optional[int]:
     if use_bland:
         idx = np.nonzero(reduced < -_PIVOT_TOL)[0]
         return int(idx[0]) if idx.size else None
@@ -91,10 +95,13 @@ def _choose_leaving(T, basis, col) -> Optional[int]:
     return int(ties[np.argmin([basis[r] for r in ties])])
 
 
-def _run_phase(T, zrow, basis, eligible, max_iter, bland_after) -> int:
+def _run_phase(T, zrow, basis, ncols) -> int:
+    size = zrow.size - 1  # rows + cols: one artificial column per row
+    bland_after, max_iter = 2 * size, 2000 + 50 * size
     iterations = 0
     while True:
-        col = _choose_entering(zrow, eligible, iterations >= bland_after)
+        # only real columns are priced: artificials never enter
+        col = _choose_entering(zrow[:ncols], iterations >= bland_after)
         if col is None:
             return iterations
         row = _choose_leaving(T, basis, col)
@@ -106,17 +113,11 @@ def _run_phase(T, zrow, basis, eligible, max_iter, bland_after) -> int:
             raise SimplexError(f"simplex did not finish within {max_iter} pivots")
 
 
-def simplex_minimize(
-    c,
-    A_eq,
-    b_eq,
-    pivot: str = "dantzig",
-    max_iter: Optional[int] = None,
-) -> SimplexResult:
+def simplex_minimize(c, A_eq, b_eq) -> SimplexResult:
     """Minimize c @ x subject to A_eq @ x = b_eq, x >= 0.
 
-    ``pivot='bland'`` uses Bland's rule from the first iteration; the
-    default prices by Dantzig until the anti-cycling switch kicks in.
+    ``duals`` solves the dual of the system as given; it is None when a
+    redundant row of A_eq was dropped.
     """
     A = np.array(A_eq, dtype=float)
     b = np.array(b_eq, dtype=float)
@@ -128,16 +129,11 @@ def simplex_minimize(
 
     T = np.hstack([A, np.eye(m), b[:, None]])
     basis = list(range(ncols, ncols + m))
-    eligible = np.zeros(ncols + m, dtype=bool)
-    eligible[:ncols] = True  # artificials never enter
-    if max_iter is None:
-        max_iter = 2000 + 50 * (m + ncols)
-    bland_after = 0 if pivot == "bland" else 2 * (m + ncols)
 
     # phase 1: minimize the artificial mass
     c1 = np.concatenate([np.zeros(ncols), np.ones(m)])
     zrow = np.concatenate([c1, [0.0]]) - c1[basis] @ T
-    iters = _run_phase(T, zrow, basis, eligible, max_iter, bland_after)
+    iters = _run_phase(T, zrow, basis, ncols)
     phase1 = -zrow[-1]
     if phase1 > _FEAS_TOL * max(1.0, float(np.abs(b).sum())):
         raise InfeasibleError(f"infeasible system (phase-1 mass {phase1:.3e})")
@@ -154,12 +150,11 @@ def simplex_minimize(
     if not keep.all():
         T = T[keep]
         basis = [basis[r] for r in range(m) if keep[r]]
-        m = T.shape[0]
 
     # phase 2: original costs
-    c2 = np.concatenate([c, np.zeros(len(keep))])
+    c2 = np.concatenate([c, np.zeros(m)])
     zrow = np.concatenate([c2, [0.0]]) - c2[basis] @ T
-    iters += _run_phase(T, zrow, basis, eligible, max_iter, bland_after)
+    iters += _run_phase(T, zrow, basis, ncols)
 
     x = np.zeros(ncols)
     for r, var in enumerate(basis):
@@ -168,13 +163,10 @@ def simplex_minimize(
     value = float(c @ x)
     duals = None
     if keep.all():
-        columns = np.hstack([A, np.eye(len(keep))])[:, basis]
-        try:
-            duals = np.linalg.solve(columns.T, c2[basis])
-            duals[flip] *= -1.0
-        except np.linalg.LinAlgError:
-            duals = None
-    return SimplexResult(x=x, value=value, duals=duals, basis=basis, iterations=iters)
+        # the artificial columns hold B^-1, so their reduced costs are -c_B B^-1
+        duals = -zrow[ncols:ncols + m]
+        duals[flip] *= -1.0
+    return SimplexResult(x=x, value=value, duals=duals, iterations=iters)
 
 
 @dataclass
@@ -185,14 +177,13 @@ class ExactSolution:
     iterations: int
 
 
-def transport_constraints(P: MarginalFamily, d: Optional[int] = None):
+def transport_constraints(P: MarginalFamily):
     """Equality system of the transport polytope on the flattened tensor.
 
     Keeps the first n-1 marginal rows of every mode plus one total-mass
     row: d*(n-1)+1 independent equalities over n**d variables.
     """
-    d = P.d if d is None else d
-    n = P.n
+    d, n = P.d, P.n
     size = n**d
     idx = np.indices((n,) * d).reshape(d, size)
     rows = []
@@ -206,12 +197,7 @@ def transport_constraints(P: MarginalFamily, d: Optional[int] = None):
     return np.array(rows), np.array(rhs)
 
 
-def solve_exact_tot(
-    C: Tensor,
-    P: MarginalFamily,
-    cap: Optional[int] = None,
-    pivot: str = "dantzig",
-) -> ExactSolution:
+def solve_exact_tot(C: Tensor, P: MarginalFamily, cap: Optional[int] = None) -> ExactSolution:
     """Vertex-optimal plan and exact objective of the transport LP."""
     if (P.d, P.n) != (C.d, C.n):
         raise ValueError("marginal family shape does not match the cost tensor")
@@ -222,7 +208,7 @@ def solve_exact_tot(
         )
     A_eq, b_eq = transport_constraints(P)
     try:
-        res = simplex_minimize(C.data.ravel(), A_eq, b_eq, pivot=pivot)
+        res = simplex_minimize(C.data.ravel(), A_eq, b_eq)
     except InfeasibleError as exc:  # cannot happen for positive marginals
         raise RuntimeError(f"transport polytope reported infeasible: {exc}") from exc
     plan = Tensor(res.x.reshape(C.data.shape))
@@ -233,8 +219,9 @@ def solve_exact_tot(
 def scalability_check(A: Tensor, P: MarginalFamily, cap: Optional[int] = None) -> bool:
     """Can some feasible plan carry exactly the zero pattern of A?
 
-    Solves max t subject to u in the polytope restricted to the support
-    and u >= t there; a strictly positive optimum certifies the pattern.
+    Solves max t over the polytope restricted to the support, with every
+    support entry written as s + t, s >= 0; a strictly positive optimum
+    certifies the pattern.
     """
     if (P.d, P.n) != (A.d, A.n):
         raise ValueError("marginal family shape does not match the tensor")
@@ -247,19 +234,14 @@ def scalability_check(A: Tensor, P: MarginalFamily, cap: Optional[int] = None) -
     support = np.nonzero(A.data.ravel() > 0)[0]
     if support.size == 0:
         return False
-    A_marg, b_marg = transport_constraints(P, d=A.d)
+    A_marg, b_marg = transport_constraints(P)
     A_sup = A_marg[:, support]
-    ns = support.size
-    m_marg = A_sup.shape[0]
-    # variables: u (ns), slack (ns), t (1); rows: marginals, then u - slack - t = 0
-    top = np.hstack([A_sup, np.zeros((m_marg, ns)), np.zeros((m_marg, 1))])
-    bottom = np.hstack([np.eye(ns), -np.eye(ns), -np.ones((ns, 1))])
-    A_eq = np.vstack([top, bottom])
-    b_eq = np.concatenate([b_marg, np.zeros(ns)])
-    c = np.zeros(2 * ns + 1)
+    # variables: s (one per support cell), then t
+    A_eq = np.column_stack([A_sup, A_sup.sum(axis=1)])
+    c = np.zeros(support.size + 1)
     c[-1] = -1.0  # maximize t
     try:
-        res = simplex_minimize(c, A_eq, b_eq)
+        res = simplex_minimize(c, A_eq, b_marg)
     except InfeasibleError:
         return False
     return bool(res.x[-1] > 1e-10)

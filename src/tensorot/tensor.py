@@ -35,7 +35,6 @@ __all__ = [
     "outer",
     "l1_norm",
     "l1_distance",
-    "zero_scaling",
 ]
 
 MASS_RTOL = 1e-12
@@ -214,9 +213,6 @@ class MarginalFamily:
         """Common l1 mass of the marginal vectors."""
         return _fsum(self.p[0])
 
-    def vector(self, mode: int) -> np.ndarray:
-        return self.p[mode]
-
     def is_probability(self, tol: float = MASS_RTOL) -> bool:
         return abs(self.h - 1.0) <= tol
 
@@ -240,11 +236,6 @@ class MarginalFamily:
 def ones_tensor(d: int, n: int) -> Tensor:
     """The all-ones tensor J_d."""
     return Tensor(np.ones((n,) * d))
-
-
-def zero_scaling(d: int, n: int) -> np.ndarray:
-    """The zero log-domain scaling, one row of exponents per mode."""
-    return np.zeros((d, n))
 
 
 def _check_mode(A: Tensor, mode: int) -> None:

@@ -251,3 +251,17 @@ class TestProcess:
                               env=package_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_exact_path_loads_no_scipy(self, files):
+        _, cost, marg, *_ = files
+        code = ("import sys\n"
+                "from tensorot import cli, load_marginals, load_tensor, lp\n"
+                f"C, P = load_tensor({str(cost)!r}), load_marginals({str(marg)!r})\n"
+                "lp.solve_exact_tot(C, P)\n"
+                "lp.scalability_check(C, P)\n"
+                f"cli.run(['scalable', '--tensor', {str(cost)!r}, '--marginals', {str(marg)!r}])\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=package_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ['{"scalable": true}', "[]"]

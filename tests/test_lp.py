@@ -1,4 +1,4 @@
-"""Exact LP oracle: simplex correctness, duals, pivot rules, scalability."""
+"""Exact LP oracle: simplex correctness, duals, Bland's rule, scalability."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from tensorot import (
     solve_exact_tot,
     transport_constraints,
 )
+from tensorot import lp
 from tensorot.lp import CAP_ENV_VAR
 
 from conftest import feasible_plan, max_marginal_gap, random_cost, random_marginals
@@ -38,6 +39,18 @@ class TestSimplexCore:
                 continue
             res = simplex_minimize(c, A, b)
             assert res.value == pytest.approx(ref.fun, abs=1e-8)
+
+    def test_duals_certify_optimum(self, rng):
+        flipped = 0
+        for _ in range(20):
+            A = rng.normal(size=(4, 9))
+            b = A @ rng.random(9)
+            c = A.T @ rng.normal(size=4) + rng.random(9)  # dual feasible: bounded
+            res = simplex_minimize(c, A, b)
+            flipped += bool((b < 0).any())  # such rows are negated inside the tableau
+            assert (c - A.T @ res.duals).min() >= -1e-9
+            assert res.duals @ b == pytest.approx(res.value, abs=1e-9)
+        assert flipped >= 10
 
     def test_infeasible_detected(self):
         from tensorot.lp import InfeasibleError
@@ -86,13 +99,13 @@ class TestSolveExact:
             sample = feasible_plan(rng, P)
             assert sol.value <= inner(C, sample) + 1e-9
 
-    def test_pivot_rules_agree(self, rng):
-        for _ in range(10):
-            C = random_cost(rng, 3, 3)
-            P = random_marginals(rng, 3, 3)
-            a = solve_exact_tot(C, P, pivot="dantzig")
-            b = solve_exact_tot(C, P, pivot="bland")
-            assert a.value == pytest.approx(b.value, abs=1e-9)
+    def test_forced_bland_agrees(self, rng, monkeypatch):
+        instances = [(random_cost(rng, 3, 3), random_marginals(rng, 3, 3)) for _ in range(10)]
+        dantzig = [solve_exact_tot(C, P).value for C, P in instances]
+        choose = lp._choose_entering
+        monkeypatch.setattr(lp, "_choose_entering", lambda reduced, use_bland: choose(reduced, True))
+        for (C, P), value in zip(instances, dantzig):
+            assert solve_exact_tot(C, P).value == pytest.approx(value, abs=1e-9)
 
     def test_matches_scipy(self, rng):
         for _ in range(10):
@@ -114,6 +127,17 @@ class TestSolveExact:
             assert sol.duals is not None
             _, b_eq = transport_constraints(P)
             assert abs(sol.value - sol.duals @ b_eq) <= 1e-9
+
+    def test_dual_feasibility(self, rng):
+        for _ in range(10):
+            d = int(rng.integers(1, 4))
+            n = int(rng.integers(2, 5))
+            C = random_cost(rng, d, n)
+            P = random_marginals(rng, d, n)
+            sol = solve_exact_tot(C, P)
+            A_eq, _ = transport_constraints(P)
+            assert sol.duals is not None
+            assert (C.data.ravel() - A_eq.T @ sol.duals).min() >= -1e-9
 
     def test_constraint_count(self, rng):
         P = random_marginals(rng, 3, 4)
@@ -159,3 +183,67 @@ class TestScalability:
         A = Tensor([[1.0, 0.0], [0.0, 0.0]])
         P = MarginalFamily([[0.6, 0.4], [0.5, 0.5]])
         assert scalability_check(A, P) is False
+
+    def test_lp_lives_on_the_transport_rows(self, rng, monkeypatch):
+        shapes = []
+        solve = lp.simplex_minimize
+
+        def spy(c, A_eq, b_eq):
+            shapes.append(np.shape(A_eq))
+            return solve(c, A_eq, b_eq)
+
+        monkeypatch.setattr(lp, "simplex_minimize", spy)
+        for d, n in ((2, 4), (3, 3), (3, 5)):
+            A = Tensor((rng.random((n,) * d) > 0.3) * (0.5 + rng.random((n,) * d)))
+            scalability_check(A, random_marginals(rng, d, n))
+            assert shapes.pop() == (d * (n - 1) + 1, np.count_nonzero(A.data) + 1)
+
+    def test_matches_highs_max_t(self, rng):
+        scalable = 0
+        feasible_only = 0
+        for i in range(100):
+            d = int(rng.integers(2, 4))
+            n = int(rng.integers(2, 5))
+            P = random_marginals(rng, d, n, floor=0.1)
+            if i % 5 == 0:
+                plan = solve_exact_tot(random_cost(rng, d, n), P).plan.data
+                pattern = (plan > 1e-9).astype(float)
+            elif i % 5 == 1:  # feasible, but mass balance keeps one cell at 0
+                k = int(rng.integers(1, n))
+                idx = np.indices((n,) * d)
+                block = (idx[0] < k) == (idx[1] < k)
+                plan = block * (0.1 + rng.random((n,) * d))
+                P = MarginalFamily([
+                    plan.sum(axis=tuple(a for a in range(d) if a != j)) / plan.sum()
+                    for j in range(d)])
+                pattern = block.astype(float)
+                pattern[(k, 0) + (0,) * (d - 2)] = 1.0
+            elif i % 5 == 2:  # d*(n-1) cells: usually too sparse
+                pattern = np.zeros((n,) * d)
+                pattern.flat[rng.choice(n**d, size=d * (n - 1), replace=False)] = 1.0
+            else:
+                pattern = (rng.random((n,) * d) >= 0.1 + 0.75 * rng.random()).astype(float)
+            t = _highs_max_t(pattern, P)
+            assert scalability_check(Tensor(pattern), P) is (t is not None and t > 1e-10), i
+            scalable += t is not None and t > 1e-10
+            feasible_only += t is not None and t <= 1e-10
+        assert scalable >= 20 and feasible_only >= 20
+
+
+def _highs_max_t(pattern, P):
+    """max t s.t. the support entries u meet the marginals and u_i >= t; None if infeasible."""
+    support = np.nonzero(pattern.ravel() > 0)[0]
+    multi = np.unravel_index(support, pattern.shape)
+    ns = support.size
+    A_eq = np.zeros((P.d * P.n, ns + 1))
+    for j in range(P.d):
+        A_eq[j * P.n + multi[j], np.arange(ns)] = 1.0
+    A_ub = np.hstack([-np.eye(ns), np.ones((ns, 1))])  # t - u_i <= 0
+    c = np.zeros(ns + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(ns), A_eq=A_eq, b_eq=P.p.ravel(),
+                  bounds=(0, None), method="highs")
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return -res.fun
