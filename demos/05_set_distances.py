@@ -1,8 +1,9 @@
 """Distances between sets of histograms through structured cost tensors.
 
 A ground metric on n points lifts to a cost tensor over index tuples;
-transport under that cost compares ordered lists of measures, and the
-minimum over simultaneous permutations makes the comparison order-free.
+transport under that cost compares ordered lists of measures.  When the
+cost is weakly bisymmetric, reordering both lists the same way only
+relabels tensor axes, so the comparison does not depend on their order.
 Run with:  python3 demos/05_set_distances.py
 """
 
@@ -46,7 +47,7 @@ d_mr = tot.pair_distance(C_sum, mid, right)
 print("triangle: %.4f <= %.4f + %.4f = %.4f"
       % (d_lr, d_lm, d_mr, d_lm + d_mr))
 
-# Unordered comparison: minimize over simultaneous permutations.
+# Unordered comparison: every common reordering gives the same LP.
 res = tot.set_distance(C_sum, left, right)
 print("\nset distance %.4f via permutation %s" % (res.distance, res.best_permutation))
 shuffled = tot.set_distance(C_match, left[::-1], left)

@@ -1,11 +1,16 @@
-"""Exact desk-scale ground truth via a dense two-phase tableau simplex.
+"""Exact desk-scale ground truth via a two-phase revised simplex.
 
 The transport LP is solved on the flattened tensor with one equality row
 per (mode, first n-1 indices) pair plus a single total-mass row — the
-minimal independent system.  Pricing has one rule: Dantzig's, switching
-to Bland's after 2*(rows+cols) pivots to rule out cycling.  The duals are
-read off the final tableau, whose artificial columns hold the basis
-inverse.
+minimal independent system.  The simplex only reads the constraint
+matrix A: it keeps the m x m basis inverse B^-1, the basic values x_B and
+the basis indices, prices the real columns as c - (c_B B^-1) A and
+updates B^-1 by one rank-one step per pivot.  Artificial r starts as
+sign(b_r) e_r, so no row is negated, and the duals c_B B^-1 belong to
+the system as given.  An artificial that phase 1 cannot drive out marks
+a redundant row and stays basic at zero.  Pricing has one rule:
+Dantzig's, switching to Bland's after 2*(rows+cols) pivots to rule out
+cycling.
 
 A second front end decides whether a zero pattern admits a feasible plan
 with that exact support by maximizing the minimum support entry t.
@@ -65,12 +70,14 @@ class SimplexResult:
     iterations: int
 
 
-def _pivot(T: np.ndarray, zrow: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    zrow -= zrow[col] * T[row]
+def _pivot(Binv, x_B, basis, row: int, col: int, column) -> None:
+    """Exchange basis[row] for col, where column is B^-1 A[:, col]."""
+    pivot_row = Binv[row] / column[row]
+    step = x_B[row] / column[row]
+    Binv -= np.outer(column, pivot_row)
+    Binv[row] = pivot_row
+    x_B -= step * column
+    x_B[row] = step
     basis[row] = col
 
 
@@ -82,32 +89,33 @@ def _choose_entering(reduced, use_bland) -> Optional[int]:
     return col if reduced[col] < -_PIVOT_TOL else None
 
 
-def _choose_leaving(T, basis, col) -> Optional[int]:
-    column = T[:, col]
-    rhs = T[:, -1]
+def _choose_leaving(x_B, basis, column) -> Optional[int]:
     rows = np.nonzero(column > _PIVOT_TOL)[0]
     if rows.size == 0:
         return None
-    ratios = rhs[rows] / column[rows]
+    ratios = x_B[rows] / column[rows]
     best = ratios.min()
     ties = rows[ratios <= best + 1e-12]
     # smallest basis index among ties guards against cycling
-    return int(ties[np.argmin([basis[r] for r in ties])])
+    return int(ties[np.argmin(basis[ties])])
 
 
-def _run_phase(T, zrow, basis, ncols) -> int:
-    size = zrow.size - 1  # rows + cols: one artificial column per row
+def _run_phase(A, cost, Binv, x_B, basis) -> int:
+    m, ncols = A.shape
+    size = m + ncols  # one artificial column per row
     bland_after, max_iter = 2 * size, 2000 + 50 * size
     iterations = 0
     while True:
         # only real columns are priced: artificials never enter
-        col = _choose_entering(zrow[:ncols], iterations >= bland_after)
+        reduced = cost[:ncols] - (cost[basis] @ Binv) @ A
+        col = _choose_entering(reduced, iterations >= bland_after)
         if col is None:
             return iterations
-        row = _choose_leaving(T, basis, col)
+        column = Binv @ A[:, col]
+        row = _choose_leaving(x_B, basis, column)
         if row is None:
             raise SimplexError("unbounded direction encountered")
-        _pivot(T, zrow, basis, row, col)
+        _pivot(Binv, x_B, basis, row, col, column)
         iterations += 1
         if iterations > max_iter:
             raise SimplexError(f"simplex did not finish within {max_iter} pivots")
@@ -116,57 +124,42 @@ def _run_phase(T, zrow, basis, ncols) -> int:
 def simplex_minimize(c, A_eq, b_eq) -> SimplexResult:
     """Minimize c @ x subject to A_eq @ x = b_eq, x >= 0.
 
-    ``duals`` solves the dual of the system as given; it is None when a
-    redundant row of A_eq was dropped.
+    A_eq is only read.  ``duals`` solves the dual of the system as given;
+    it is None when A_eq has a redundant row.
     """
-    A = np.array(A_eq, dtype=float)
-    b = np.array(b_eq, dtype=float)
+    A = np.asarray(A_eq, dtype=float)
+    b = np.asarray(b_eq, dtype=float)
     c = np.asarray(c, dtype=float)
     m, ncols = A.shape
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-
-    T = np.hstack([A, np.eye(m), b[:, None]])
-    basis = list(range(ncols, ncols + m))
+    # artificial r is sign(b_r) e_r, so the starting point x_B = |b| is feasible
+    Binv = np.diag(np.where(b < 0, -1.0, 1.0))
+    x_B = np.abs(b)
+    basis = np.arange(ncols, ncols + m)
 
     # phase 1: minimize the artificial mass
-    c1 = np.concatenate([np.zeros(ncols), np.ones(m)])
-    zrow = np.concatenate([c1, [0.0]]) - c1[basis] @ T
-    iters = _run_phase(T, zrow, basis, ncols)
-    phase1 = -zrow[-1]
+    cost = np.concatenate([np.zeros(ncols), np.ones(m)])
+    iters = _run_phase(A, cost, Binv, x_B, basis)
+    phase1 = float(cost[basis] @ x_B)
     if phase1 > _FEAS_TOL * max(1.0, float(np.abs(b).sum())):
         raise InfeasibleError(f"infeasible system (phase-1 mass {phase1:.3e})")
 
-    # drive zero-level artificials out of the basis; drop redundant rows
-    keep = np.ones(m, dtype=bool)
-    for r in range(m):
-        if basis[r] >= ncols:
-            candidates = np.nonzero(np.abs(T[r, :ncols]) > _PIVOT_TOL)[0]
-            if candidates.size:
-                _pivot(T, zrow, basis, r, int(candidates[0]))
-            else:
-                keep[r] = False
-    if not keep.all():
-        T = T[keep]
-        basis = [basis[r] for r in range(m) if keep[r]]
+    # drive zero-level artificials out of the basis; one that stays marks a
+    # redundant row, whose row of B^-1 A is zero, so no ratio test picks it
+    for r in np.nonzero(basis >= ncols)[0]:
+        candidates = np.nonzero(np.abs(Binv[r] @ A) > _PIVOT_TOL)[0]
+        if candidates.size:
+            col = int(candidates[0])
+            _pivot(Binv, x_B, basis, r, col, Binv @ A[:, col])
 
     # phase 2: original costs
-    c2 = np.concatenate([c, np.zeros(m)])
-    zrow = np.concatenate([c2, [0.0]]) - c2[basis] @ T
-    iters += _run_phase(T, zrow, basis, ncols)
+    cost = np.concatenate([c, np.zeros(m)])
+    iters += _run_phase(A, cost, Binv, x_B, basis)
 
     x = np.zeros(ncols)
-    for r, var in enumerate(basis):
-        if var < ncols:
-            x[var] = T[r, -1]
-    value = float(c @ x)
-    duals = None
-    if keep.all():
-        # the artificial columns hold B^-1, so their reduced costs are -c_B B^-1
-        duals = -zrow[ncols:ncols + m]
-        duals[flip] *= -1.0
-    return SimplexResult(x=x, value=value, duals=duals, iterations=iters)
+    real = basis < ncols
+    x[basis[real]] = x_B[real]
+    duals = cost[basis] @ Binv if real.all() else None
+    return SimplexResult(x=x, value=float(c @ x), duals=duals, iterations=iters)
 
 
 @dataclass
@@ -184,17 +177,14 @@ def transport_constraints(P: MarginalFamily):
     row: d*(n-1)+1 independent equalities over n**d variables.
     """
     d, n = P.d, P.n
-    size = n**d
-    idx = np.indices((n,) * d).reshape(d, size)
-    rows = []
-    rhs = []
+    A_eq = np.zeros((d * (n - 1) + 1, n**d))
+    first = np.arange(n - 1)
     for j in range(d):
-        for i in range(n - 1):
-            rows.append((idx[j] == i).astype(float))
-            rhs.append(P.p[j, i])
-    rows.append(np.ones(size))
-    rhs.append(P.h)
-    return np.array(rows), np.array(rhs)
+        # rows of mode j as a view over the tensor shape: row i marks index i on axis j
+        rows = A_eq[j * (n - 1):(j + 1) * (n - 1)].reshape((n - 1,) + (n,) * d)
+        rows[(first,) + (slice(None),) * j + (first,)] = 1.0
+    A_eq[-1] = 1.0
+    return A_eq, np.append(P.p[:, :-1].ravel(), P.h)
 
 
 def solve_exact_tot(C: Tensor, P: MarginalFamily, cap: Optional[int] = None) -> ExactSolution:

@@ -3,11 +3,12 @@
 An even-order cost tensor is read as a square matrix over index tuples;
 when that matricization is a distance matrix, the transport value between
 the stacked marginal lists is itself a distance on ordered tuples of
-measures.  Minimizing over simultaneous permutations of both lists makes
-it order-free, provided the cost is at least weakly symmetric under those
-permutations.  The gluing construction composes two feasible plans that
-share their middle marginals, which is what the triangle inequality tests
-exercise.
+measures.  When the cost is at least weakly bisymmetric, permuting both
+lists by the same order only relabels tensor axes, so every such order
+gives the same transport LP and one solve in list order does not depend
+on the common order.  The gluing construction composes two feasible
+plans that share their middle marginals, which is what the triangle
+inequality tests exercise.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
 ]
 
 _ATOL = 1e-12
-MAX_HALF_ORDER = 6  # permutation search is factorial in d/2
 
 
 @dataclass(frozen=True)
@@ -338,17 +338,16 @@ def set_distance(
     delta: Optional[float] = None,
     cap: Optional[int] = None,
 ) -> SetDistanceResult:
-    """Order-free distance: minimum over simultaneous list permutations.
+    """Distance between two lists of d/2 measures, free of their common order.
 
-    Requires a (at least weakly) bisymmetric cost; the positivity caveat
-    for multiset-style costs is surfaced through ``multisets_equal``
-    rather than patched into the value.
+    Requires a (at least weakly) bisymmetric cost, under which every
+    simultaneous permutation of both lists solves the same LP, so the
+    lists are compared once, in the order given; ``best_permutation`` is
+    the identity.  The positivity caveat for multiset-style costs is
+    surfaced through ``multisets_equal`` rather than patched into the
+    value.
     """
     half = _half(C)
-    if half > MAX_HALF_ORDER:
-        raise ValueError(
-            f"permutation enumeration supports d/2 <= {MAX_HALF_ORDER}, got {half}"
-        )
     profile = cost_profile(C)
     if not profile.weak_bisymmetric:
         raise ContractViolation(
@@ -356,18 +355,9 @@ def set_distance(
         )
     left = _as_measure_list(left, C.n, half, "left measures")
     right = _as_measure_list(right, C.n, half, "right measures")
-    best_value = None
-    best_perm = None
-    for perm in itertools.permutations(range(half)):
-        order = list(perm)
-        value = pair_distance(C, left[order], right[order],
-                              solver=solver, delta=delta, cap=cap)
-        if best_value is None or value < best_value:
-            best_value = value
-            best_perm = perm
     return SetDistanceResult(
-        distance=best_value,
-        best_permutation=best_perm,
+        distance=pair_distance(C, left, right, solver=solver, delta=delta, cap=cap),
+        best_permutation=tuple(range(half)),
         profile=profile,
         multisets_equal=_multisets_equal(left, right),
     )

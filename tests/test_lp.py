@@ -1,5 +1,8 @@
 """Exact LP oracle: simplex correctness, duals, Bland's rule, scalability."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -51,6 +54,26 @@ class TestSimplexCore:
             assert (c - A.T @ res.duals).min() >= -1e-9
             assert res.duals @ b == pytest.approx(res.value, abs=1e-9)
         assert flipped >= 10
+
+    def test_redundant_rows_match_highs(self, rng):
+        negative = 0
+        for i in range(30):
+            A = rng.normal(size=(4, 9))
+            b = A @ rng.random(9)
+            c = A.T @ rng.normal(size=4) + rng.random(9)  # dual feasible: bounded
+            # a copy of one row, or a combination of all of them
+            w = np.eye(4)[i % 4] if i % 2 else rng.normal(size=4)
+            A = np.vstack([A, w @ A])
+            b = np.append(b, w @ b)
+            A.setflags(write=False)  # the simplex only reads A_eq
+            negative += bool((b < 0).any())
+            ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+            assert ref.status == 0, ref.message
+            res = simplex_minimize(c, A, b)
+            assert res.duals is None
+            assert res.value == pytest.approx(ref.fun, abs=1e-9)
+            assert np.abs(res.x - ref.x).max() <= 1e-8
+        assert negative >= 10
 
     def test_infeasible_detected(self):
         from tensorot.lp import InfeasibleError
@@ -138,6 +161,45 @@ class TestSolveExact:
             A_eq, _ = transport_constraints(P)
             assert sol.duals is not None
             assert (C.data.ravel() - A_eq.T @ sol.duals).min() >= -1e-9
+
+    def test_value_is_the_least_basic_feasible_solution(self, rng):
+        # every basis of the transport rows, solved directly: no simplex, no HiGHS
+        for d, n in ((2, 3), (3, 2), (2, 4), (4, 2)):
+            P = random_marginals(rng, d, n)
+            A_eq, b_eq = transport_constraints(P)
+            m, size = A_eq.shape
+            bases = np.array(list(itertools.combinations(range(size), m)))
+            B = A_eq[:, bases].transpose(1, 0, 2)
+            regular = np.abs(np.linalg.det(B)) > 0.5  # 0/1 matrices: |det| is 0 or >= 1
+            bases, B = bases[regular], B[regular]
+            x_B = np.linalg.solve(B, np.tile(b_eq, (len(B), 1))[..., None])[..., 0]
+            feasible = (x_B >= -1e-12).all(axis=1)
+            vertices = np.zeros((feasible.sum(), size))
+            np.put_along_axis(vertices, bases[feasible], x_B[feasible], axis=1)
+            for _ in range(3):
+                C = random_cost(rng, d, n)
+                sol = solve_exact_tot(C, P)
+                assert sol.value == pytest.approx((vertices @ C.data.ravel()).min(), abs=1e-12)
+                assert np.abs(vertices - sol.plan.data.ravel()).max(axis=1).min() <= 1e-12
+
+    def test_solve_holds_little_more_than_the_constraints(self, rng):
+        P = random_marginals(rng, 4, 12)
+        C = random_cost(rng, 4, 12)
+        nbytes = transport_constraints(P)[0].nbytes
+        tracemalloc.start()
+        try:
+            solve_exact_tot(C, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * nbytes
+
+    def test_value_scales_with_the_mass(self, rng):
+        C = random_cost(rng, 3, 3)
+        P = random_marginals(rng, 3, 3)
+        heavy = solve_exact_tot(C, MarginalFamily(2.5 * P.p))
+        assert heavy.value == pytest.approx(2.5 * solve_exact_tot(C, P).value, abs=1e-12)
+        assert heavy.plan.data.sum() == pytest.approx(2.5, abs=1e-12)
 
     def test_constraint_count(self, rng):
         P = random_marginals(rng, 3, 4)

@@ -21,6 +21,7 @@ from tensorot import (
     pair_distance,
     set_distance,
 )
+from tensorot import setdist
 from tensorot.setdist import _same_multiset, _triangle_slack
 
 from conftest import random_marginals
@@ -257,6 +258,25 @@ class TestSetDistance:
         for perm in itertools.permutations(range(2)):
             order = list(perm)
             assert res.distance <= pair_distance(C, left[order], right[order]) + 1e-12
+
+    def test_one_solve_in_list_order(self, rng, monkeypatch):
+        calls = []
+        solve = setdist.pair_distance
+
+        def spy(C, left, right, **kwargs):
+            calls.append((left, right))
+            return solve(C, left, right, **kwargs)
+
+        monkeypatch.setattr(setdist, "pair_distance", spy)
+        for half in (2, 3):
+            C = lift_ground_metric(ground_metric(3, rng), 2 * half, mode="sum")
+            left = random_marginals(rng, half, 3).p
+            right = random_marginals(rng, half, 3).p
+            res = set_distance(C, left, right)
+            assert len(calls) == 1
+            assert np.array_equal(calls[0][0], left) and np.array_equal(calls[0][1], right)
+            assert res.best_permutation == tuple(range(half))
+            calls.clear()
 
     def test_listing_order_invariance_for_bisymmetric(self, rng):
         C = lift_ground_metric(ground_metric(3, rng), 4, mode="matching")
