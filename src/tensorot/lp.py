@@ -81,6 +81,12 @@ def _pivot(Binv, x_B, basis, row: int, col: int, column) -> None:
     basis[row] = col
 
 
+def _row_times(y, A):
+    """y @ A on one thread.  OpenBLAS splits a product this wide over
+    threads, and a pivot's time then swings with the load on the other core."""
+    return np.einsum("i,ij->j", y, A)
+
+
 def _choose_entering(reduced, use_bland) -> Optional[int]:
     if use_bland:
         idx = np.nonzero(reduced < -_PIVOT_TOL)[0]
@@ -107,7 +113,7 @@ def _run_phase(A, cost, Binv, x_B, basis) -> int:
     iterations = 0
     while True:
         # only real columns are priced: artificials never enter
-        reduced = cost[:ncols] - (cost[basis] @ Binv) @ A
+        reduced = cost[:ncols] - _row_times(cost[basis] @ Binv, A)
         col = _choose_entering(reduced, iterations >= bland_after)
         if col is None:
             return iterations
@@ -146,7 +152,7 @@ def simplex_minimize(c, A_eq, b_eq) -> SimplexResult:
     # drive zero-level artificials out of the basis; one that stays marks a
     # redundant row, whose row of B^-1 A is zero, so no ratio test picks it
     for r in np.nonzero(basis >= ncols)[0]:
-        candidates = np.nonzero(np.abs(Binv[r] @ A) > _PIVOT_TOL)[0]
+        candidates = np.nonzero(np.abs(_row_times(Binv[r], A)) > _PIVOT_TOL)[0]
         if candidates.size:
             col = int(candidates[0])
             _pivot(Binv, x_B, basis, r, col, Binv @ A[:, col])
