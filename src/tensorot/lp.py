@@ -176,21 +176,26 @@ class ExactSolution:
     iterations: int
 
 
+def _transport_system(P: MarginalFamily, cells: np.ndarray, ncols: int):
+    """The transport system on the flat tensor cells ``cells``, one column
+    each, zero-padded to ``ncols`` columns, and its right-hand side."""
+    d, n = P.d, P.n
+    A = np.zeros((d * (n - 1) + 1, ncols))
+    for j, index in enumerate(np.unravel_index(cells, (n,) * d)):
+        # row j*(n-1) + i marks the cells with index i < n-1 on axis j
+        kept = index < n - 1
+        A[j * (n - 1) + index[kept], np.flatnonzero(kept)] = 1.0
+    A[-1, :cells.size] = 1.0
+    return A, np.append(P.p[:, :-1].ravel(), P.h)
+
+
 def transport_constraints(P: MarginalFamily):
     """Equality system of the transport polytope on the flattened tensor.
 
     Keeps the first n-1 marginal rows of every mode plus one total-mass
     row: d*(n-1)+1 independent equalities over n**d variables.
     """
-    d, n = P.d, P.n
-    A_eq = np.zeros((d * (n - 1) + 1, n**d))
-    first = np.arange(n - 1)
-    for j in range(d):
-        # rows of mode j as a view over the tensor shape: row i marks index i on axis j
-        rows = A_eq[j * (n - 1):(j + 1) * (n - 1)].reshape((n - 1,) + (n,) * d)
-        rows[(first,) + (slice(None),) * j + (first,)] = 1.0
-    A_eq[-1] = 1.0
-    return A_eq, np.append(P.p[:, :-1].ravel(), P.h)
+    return _transport_system(P, np.arange(P.n**P.d), P.n**P.d)
 
 
 def solve_exact_tot(C: Tensor, P: MarginalFamily, cap: Optional[int] = None) -> ExactSolution:
@@ -230,14 +235,13 @@ def scalability_check(A: Tensor, P: MarginalFamily, cap: Optional[int] = None) -
     support = np.nonzero(A.data.ravel() > 0)[0]
     if support.size == 0:
         return False
-    A_marg, b_marg = transport_constraints(P)
-    A_sup = A_marg[:, support]
-    # variables: s (one per support cell), then t
-    A_eq = np.column_stack([A_sup, A_sup.sum(axis=1)])
+    # variables: s (one per support cell), then t, whose column is A_sup @ 1
+    A_eq, b_eq = _transport_system(P, support, support.size + 1)
+    A_eq[:, -1] = A_eq[:, :-1].sum(axis=1)
     c = np.zeros(support.size + 1)
     c[-1] = -1.0  # maximize t
     try:
-        res = simplex_minimize(c, A_eq, b_marg)
+        res = simplex_minimize(c, A_eq, b_eq)
     except InfeasibleError:
         return False
     return bool(res.x[-1] > 1e-10)

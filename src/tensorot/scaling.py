@@ -16,6 +16,10 @@ is taken again on the rebuilt iterate, so the returned exponents reproduce
 the returned iterate exactly.  Long runs also rebuild every
 ``_REBUILD_STEPS`` steps, which keeps the rounding drift of the working
 iterate bounded.
+
+Each step leaves one :class:`IterationRecord`, which is exactly one line
+of the JSONL trace; its ``kl`` is K(p_j || s_j) of the applied step, taken
+from the same log-ratio vector the step adds to the exponents.
 """
 
 from __future__ import annotations
@@ -71,13 +75,12 @@ class SinkhornConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """State of one scaling step, taken before the update is applied."""
+    """State of one scaling step, taken before the update; one JSONL trace line."""
 
     k: int
     mode: Optional[int]  # None on the final (stopping) record
     residual_l1: float  # max over modes; the selection/stopping quantity
-    residual_l2: float  # Euclidean norm of the selected mode's residual
-    kl: Optional[float]  # K(p_mode || marginal) for the applied update
+    kl: Optional[float]  # K(p_mode || marginal) of the applied step
     g_value: float
 
 
@@ -115,13 +118,7 @@ class SinkhornTrace:
         """One JSON line per iteration, then a closing certificate line."""
         with open(path, "w", encoding="utf-8") as fh:
             for r in self.records:
-                fh.write(json.dumps({
-                    "k": r.k,
-                    "mode": r.mode,
-                    "residual_l1": r.residual_l1,
-                    "kl": r.kl,
-                    "g_value": r.g_value,
-                }))
+                fh.write(json.dumps(vars(r)))
                 fh.write("\n")
             fh.write(json.dumps({
                 "k_stop": self.k_stop,
@@ -202,12 +199,11 @@ def residual(A: Tensor, p, mode: int) -> tuple[np.ndarray, float]:
 
 def select_mode(A: Tensor, P: MarginalFamily, bases: Optional[SubspaceBases] = None) -> int:
     """Mode with the largest residual norm; ties break to the smallest index."""
-    norms = _residual_norms(_marginals(A.data), P, bases)[0]
-    return int(np.argmax(norms))
+    return int(np.argmax(_residual_norms(_marginals(A.data), P, bases)))
 
 
 def _residual_norms(S: np.ndarray, P: MarginalFamily, bases: Optional[SubspaceBases]):
-    """l1 residual norms per mode, plus the per-mode l2 norms.
+    """l1 residual norm per mode.
 
     With ``bases`` the marginals are embedded into their mode block and
     projected onto the support-aware blocks; without, the plain projected
@@ -215,17 +211,13 @@ def _residual_norms(S: np.ndarray, P: MarginalFamily, bases: Optional[SubspaceBa
     """
     d, n = P.d, P.n
     if bases is None:
-        R = _line_residuals(S, P.p)
-        return np.abs(R).sum(axis=1), np.linalg.norm(R, axis=1)
+        return np.abs(_line_residuals(S, P.p)).sum(axis=1)
     l1 = np.empty(d)
-    l2 = np.empty(d)
     for j in range(d):
         Q = bases.mode_blocks[j]
         coords = Q[j * n:(j + 1) * n, :].T @ S[j]
-        proj = Q @ coords
-        l1[j] = np.abs(proj).sum()
-        l2[j] = np.linalg.norm(coords)
-    return l1, l2
+        l1[j] = np.abs(Q @ coords).sum()
+    return l1
 
 
 def _svd_bases(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -355,8 +347,8 @@ def sinkhorn_scale(
     rebuilt = True
     k = 0
     while True:
-        norms_l1, norms_l2 = _residual_norms(S, P, sel_bases)
-        worst = float(norms_l1.max())
+        norms = _residual_norms(S, P, sel_bases)
+        worst = float(norms.max())
         if not rebuilt and (worst < cfg.epsilon or k % _REBUILD_STEPS == 0):
             current = _scaled(data0, X, zero_mask)
             fresh = _marginals(current)
@@ -364,13 +356,11 @@ def sinkhorn_scale(
             trace.drift = max(trace.drift, float(np.abs(fresh - S).sum()))
             S, rebuilt = fresh, True
             continue
-        mode = int(np.argmax(norms_l1))
+        mode = int(np.argmax(norms))
         g_val = float(S[0].sum()) - float(np.sum(P.p * X))
         if worst < cfg.epsilon:
             trace.records.append(IterationRecord(
-                k=k, mode=None, residual_l1=worst,
-                residual_l2=float(norms_l2[mode]), kl=None,
-                g_value=g_val))
+                k=k, mode=None, residual_l1=worst, kl=None, g_value=g_val))
             trace.k_stop = k
             break
         if k >= max_iter:
@@ -381,12 +371,13 @@ def sinkhorn_scale(
         s_mode = S[mode]
         if np.any(s_mode <= 0):
             raise DegenerateSliceError(f"mode {mode} marginal vanished at step {k}")
-        kl = kl_divergence(P.p[mode], s_mode)
+        # p > 0 (MarginalFamily) and s_mode > 0 (just checked), so this
+        # is kl_divergence(P.p[mode], s_mode) without its mask and copies
+        step = log_p[mode] - np.log(s_mode)
         trace.records.append(IterationRecord(
-            k=k, mode=mode, residual_l1=worst,
-            residual_l2=float(norms_l2[mode]), kl=kl,
+            k=k, mode=mode, residual_l1=worst, kl=_fsum(P.p[mode] * step),
             g_value=g_val))
-        row = X[mode] + (log_p[mode] - np.log(s_mode))
+        row = X[mode] + step
         # apply the increment X takes after rounding, so the working
         # iterate tracks exp(X) and rounding in X does not pile up as drift
         current *= np.exp(row - X[mode]).reshape(_axis_shape(d, mode, n))

@@ -110,16 +110,17 @@ def check_distance_matrix(D, tol: float = _ATOL) -> DistanceCheck:
     diag = np.abs(np.diag(D))
     if diag.max(initial=0.0) > tol:
         i = int(np.argmax(diag))
-        return DistanceCheck(False, f"nonzero self-distance at index {i}: {D[i, i]!r}")
+        return DistanceCheck(False, f"nonzero self-distance at index {i}: {float(D[i, i])!r}")
     asym = np.abs(D - D.T)
     if asym.max(initial=0.0) > tol:
         i, j = np.unravel_index(np.argmax(asym), D.shape)
-        return DistanceCheck(False, f"asymmetry at ({i}, {j}): {D[i, j]!r} vs {D[j, i]!r}")
+        return DistanceCheck(
+            False, f"asymmetry at ({i}, {j}): {float(D[i, j])!r} vs {float(D[j, i])!r}")
     off = ~np.eye(size, dtype=bool)
     if size > 1 and D[off].min() <= tol:
         flat = np.where(off, D, np.inf)
         i, j = np.unravel_index(np.argmin(flat), D.shape)
-        return DistanceCheck(False, f"nonpositive off-diagonal at ({i}, {j}): {D[i, j]!r}")
+        return DistanceCheck(False, f"nonpositive off-diagonal at ({i}, {j}): {float(D[i, j])!r}")
     # d(i,j) <= d(i,k) + d(k,j) for every triple
     slack = _triangle_slack(D)
     if slack.min() < -tol:

@@ -151,6 +151,7 @@ class TestSetDistanceCommand:
         # matching costs vanish on equal multisets: the strict matricization
         # check fails there while the multiset-style one certifies it
         assert payload["distance_matrix"] is False
+        assert payload["violation"] == "nonpositive off-diagonal at (1, 3): 0.0"
         assert payload["multiset_distance"] is True
 
         left = random_marginals(rng, 2, 3)

@@ -50,7 +50,7 @@ class TestSimplexCore:
             b = A @ rng.random(9)
             c = A.T @ rng.normal(size=4) + rng.random(9)  # dual feasible: bounded
             res = simplex_minimize(c, A, b)
-            flipped += bool((b < 0).any())  # such rows are negated inside the tableau
+            flipped += bool((b < 0).any())  # their artificials start as -e_r
             assert (c - A.T @ res.duals).min() >= -1e-9
             assert res.duals @ b == pytest.approx(res.value, abs=1e-9)
         assert flipped >= 10
@@ -245,6 +245,19 @@ class TestScalability:
         A = Tensor([[1.0, 0.0], [0.0, 0.0]])
         P = MarginalFamily([[0.6, 0.4], [0.5, 0.5]])
         assert scalability_check(A, P) is False
+
+    def test_check_holds_little_more_than_the_constraints(self, rng):
+        # the support system is the only large array the check holds
+        P = random_marginals(rng, 4, 12)
+        A = Tensor((rng.random((12,) * 4) > 0.3) * (0.5 + rng.random((12,) * 4)))
+        nbytes = transport_constraints(P)[0].nbytes
+        tracemalloc.start()
+        try:
+            assert scalability_check(A, P) is True
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * nbytes
 
     def test_lp_lives_on_the_transport_rows(self, rng, monkeypatch):
         shapes = []

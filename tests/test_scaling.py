@@ -1,5 +1,6 @@
 """Greedy scaling: residuals, mode selection, stopping, traces, subspaces."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 
 from tensorot import (
     ContractViolation,
+    IterationRecord,
     MarginalFamily,
     NonConvergenceError,
     SinkhornConfig,
@@ -255,7 +257,10 @@ class TestSinkhornPositive:
         trace.write_jsonl(path)
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(lines) == len(trace.records) + 1
-        assert set(lines[0]) == {"k", "mode", "residual_l1", "kl", "g_value"}
+        assert list(lines[0]) == ["k", "mode", "residual_l1", "kl", "g_value"]
+        # a record is exactly one line: its fields are the line's keys, in order
+        assert [f.name for f in dataclasses.fields(IterationRecord)] == list(lines[0])
+        assert [dataclasses.asdict(r) for r in trace.records] == lines[:-1]
         assert set(lines[-1]) == {"k_stop", "bound", "eta", "mass"}
         assert lines[-1]["k_stop"] == trace.k_stop
 
@@ -358,6 +363,38 @@ class TestIncrementalStep:
             assert np.allclose(trace.residuals, residuals, rtol=1e-10, atol=0.0)
             assert np.allclose(X, ref_X, rtol=1e-12, atol=1e-14)
             assert np.allclose(scaled.data, ref.data, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("variant", ["positive", "support"])
+    def test_kl_is_the_divergence_of_the_applied_step(self, rng, monkeypatch, variant):
+        # replay the run: each step's kl against the marginals the loop took last
+        if variant == "support":
+            A, P = _with_zeros(rng, 3, 4)
+        else:
+            A, P, _ = self._long_solve(rng)
+        events = []
+        real_marginals, real_record = scaling._marginals, scaling.IterationRecord
+
+        def spy_marginals(data):
+            S = real_marginals(data)
+            events.append(S.copy())
+            return S
+
+        def spy_record(**fields):
+            events.append(fields)
+            return real_record(**fields)
+
+        monkeypatch.setattr(scaling, "_marginals", spy_marginals)
+        monkeypatch.setattr(scaling, "IterationRecord", spy_record)
+        _, _, trace = sinkhorn_scale(A, P, SinkhornConfig(epsilon=1e-6, variant=variant))
+        steps = 0
+        for event in events:
+            if isinstance(event, np.ndarray):
+                S = event
+            elif event["mode"] is not None:
+                assert event["kl"] == kl_divergence(P.p[event["mode"]], S[event["mode"]])
+                steps += 1
+        assert steps == trace.k_stop > 10
+        assert trace.rematerializations >= 1
 
     def test_failed_recheck_keeps_stepping(self, rng, monkeypatch):
         # the first rebuild is spoiled, so its recheck fails and the run goes on
