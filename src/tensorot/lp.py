@@ -2,15 +2,23 @@
 
 The transport LP is solved on the flattened tensor with one equality row
 per (mode, first n-1 indices) pair plus a single total-mass row — the
-minimal independent system.  The simplex only reads the constraint
-matrix A: it keeps the m x m basis inverse B^-1, the basic values x_B and
-the basis indices, prices the real columns as c - (c_B B^-1) A and
-updates B^-1 by one rank-one step per pivot.  Artificial r starts as
-sign(b_r) e_r, so no row is negated, and the duals c_B B^-1 belong to
-the system as given.  An artificial that phase 1 cannot drive out marks
-a redundant row and stays basic at zero.  Pricing has one rule:
-Dantzig's, switching to Bland's after 2*(rows+cols) pivots to rule out
-cycling.
+minimal independent system.  The simplex reads the constraint matrix A
+through two operations only: price every column (y @ A) and fetch one
+column (A[:, j]).  It keeps the m x m basis inverse B^-1, the basic
+values x_B and the basis indices, prices the real columns as
+c - (c_B B^-1) A and updates B^-1 by one rank-one step per pivot.
+Artificial r starts as sign(b_r) e_r, so no row is negated, and the
+duals c_B B^-1 belong to the system as given.  An artificial that
+phase 1 cannot drive out marks a redundant row and stays basic at zero.
+Pricing has one rule: Dantzig's, switching to Bland's after
+2*(rows+cols) pivots to rule out cycling.
+
+A dense A is read by slicing and a single-threaded product.
+``solve_exact_tot`` never forms A: the column of a cell has a one in the
+row of each of its indices below n-1 and in the mass row, so y @ A is
+the outer sum y_0 ⊕ ... ⊕ y_{d-1} of the per-mode duals (each padded
+with 0 at index n-1) plus the mass dual.  An exact solve thus holds a
+few vectors the size of the cost tensor and the m x m basis inverse.
 
 A second front end decides whether a zero pattern admits a feasible plan
 with that exact support by maximizing the minimum support entry t.
@@ -81,10 +89,20 @@ def _pivot(Binv, x_B, basis, row: int, col: int, column) -> None:
     basis[row] = col
 
 
-def _row_times(y, A):
-    """y @ A on one thread.  OpenBLAS splits a product this wide over
-    threads, and a pivot's time then swings with the load on the other core."""
-    return np.einsum("i,ij->j", y, A)
+class _DenseColumns:
+    """A dense constraint matrix, read by slicing and one-thread pricing."""
+
+    def __init__(self, A):
+        self.A = A
+        self.shape = A.shape
+
+    def price(self, y):
+        """y @ A on one thread.  OpenBLAS splits a product this wide over
+        threads, and a pivot's time then swings with the load on the other core."""
+        return np.einsum("i,ij->j", y, self.A)
+
+    def column(self, j):
+        return self.A[:, j]
 
 
 def _choose_entering(reduced, use_bland) -> Optional[int]:
@@ -107,17 +125,18 @@ def _choose_leaving(x_B, basis, column) -> Optional[int]:
 
 
 def _run_phase(A, cost, Binv, x_B, basis) -> int:
+    """Pivot from a feasible basis until no real column prices out."""
     m, ncols = A.shape
     size = m + ncols  # one artificial column per row
     bland_after, max_iter = 2 * size, 2000 + 50 * size
     iterations = 0
     while True:
         # only real columns are priced: artificials never enter
-        reduced = cost[:ncols] - _row_times(cost[basis] @ Binv, A)
+        reduced = cost[:ncols] - A.price(cost[basis] @ Binv)
         col = _choose_entering(reduced, iterations >= bland_after)
         if col is None:
             return iterations
-        column = Binv @ A[:, col]
+        column = Binv @ A.column(col)
         row = _choose_leaving(x_B, basis, column)
         if row is None:
             raise SimplexError("unbounded direction encountered")
@@ -130,10 +149,12 @@ def _run_phase(A, cost, Binv, x_B, basis) -> int:
 def simplex_minimize(c, A_eq, b_eq) -> SimplexResult:
     """Minimize c @ x subject to A_eq @ x = b_eq, x >= 0.
 
-    A_eq is only read.  ``duals`` solves the dual of the system as given;
-    it is None when A_eq has a redundant row.
+    A_eq is a matrix, which is only read, or an implicit system with
+    ``shape``, ``price(y)`` (y @ A_eq) and ``column(j)`` (A_eq[:, j]).
+    ``duals`` solves the dual of the system as given; it is None when
+    A_eq has a redundant row.
     """
-    A = np.asarray(A_eq, dtype=float)
+    A = A_eq if hasattr(A_eq, "price") else _DenseColumns(np.asarray(A_eq, dtype=float))
     b = np.asarray(b_eq, dtype=float)
     c = np.asarray(c, dtype=float)
     m, ncols = A.shape
@@ -152,10 +173,10 @@ def simplex_minimize(c, A_eq, b_eq) -> SimplexResult:
     # drive zero-level artificials out of the basis; one that stays marks a
     # redundant row, whose row of B^-1 A is zero, so no ratio test picks it
     for r in np.nonzero(basis >= ncols)[0]:
-        candidates = np.nonzero(np.abs(_row_times(Binv[r], A)) > _PIVOT_TOL)[0]
+        candidates = np.nonzero(np.abs(A.price(Binv[r])) > _PIVOT_TOL)[0]
         if candidates.size:
             col = int(candidates[0])
-            _pivot(Binv, x_B, basis, r, col, Binv @ A[:, col])
+            _pivot(Binv, x_B, basis, r, col, Binv @ A.column(col))
 
     # phase 2: original costs
     cost = np.concatenate([c, np.zeros(m)])
@@ -176,17 +197,66 @@ class ExactSolution:
     iterations: int
 
 
+def _mode_rows(j, index: np.ndarray, n: int):
+    """Rows of the marginal constraints of modes ``j`` at axis indices ``index``.
+
+    Index i < n-1 of mode j has row j*(n-1) + i; index n-1 has no row of
+    its own (the total-mass row, last, stands in for it).  ``j`` is one
+    mode or an array of modes shaped like ``index``.  Returns the rows of
+    the kept pairs and the mask that keeps them.
+    """
+    kept = index < n - 1
+    return (j * (n - 1) + index)[kept], kept
+
+
 def _transport_system(P: MarginalFamily, cells: np.ndarray, ncols: int):
     """The transport system on the flat tensor cells ``cells``, one column
     each, zero-padded to ``ncols`` columns, and its right-hand side."""
     d, n = P.d, P.n
     A = np.zeros((d * (n - 1) + 1, ncols))
     for j, index in enumerate(np.unravel_index(cells, (n,) * d)):
-        # row j*(n-1) + i marks the cells with index i < n-1 on axis j
-        kept = index < n - 1
-        A[j * (n - 1) + index[kept], np.flatnonzero(kept)] = 1.0
+        rows, kept = _mode_rows(j, index, n)
+        A[rows, np.flatnonzero(kept)] = 1.0
     A[-1, :cells.size] = 1.0
-    return A, np.append(P.p[:, :-1].ravel(), P.h)
+    return A, _transport_rhs(P)
+
+
+def _transport_rhs(P: MarginalFamily) -> np.ndarray:
+    """Right-hand side of the transport rows: the kept marginal entries,
+    then the total mass."""
+    b = np.empty(P.d * (P.n - 1) + 1)
+    rows, kept = _mode_rows(*np.indices(P.p.shape), P.n)
+    b[rows] = P.p[kept]
+    b[-1] = P.h
+    return b
+
+
+class _TransportColumns:
+    """The A_eq of ``transport_constraints`` over all n**d cells, never formed."""
+
+    def __init__(self, d: int, n: int):
+        self.d, self.n = d, n
+        self.shape = (d * (n - 1) + 1, n**d)
+        self._rows, self._kept = _mode_rows(*np.indices((d, n)), n)
+
+    def price(self, y):
+        """y @ A as an outer sum, bit-identical to the dense product: each
+        cell adds its d+1 duals in row order, and the dense sum only adds
+        zeros between them."""
+        Y = np.zeros((self.d, self.n))
+        Y[self._kept] = y[self._rows]
+        out = Y[0].copy()
+        for j in range(1, self.d):
+            out = out[..., None] + Y[j]
+        out += y[-1]
+        return out.ravel()
+
+    def column(self, cell):
+        index = np.array(np.unravel_index(cell, (self.n,) * self.d))
+        col = np.zeros(self.shape[0])
+        col[_mode_rows(np.arange(self.d), index, self.n)[0]] = 1.0
+        col[-1] = 1.0
+        return col
 
 
 def transport_constraints(P: MarginalFamily):
@@ -207,9 +277,8 @@ def solve_exact_tot(C: Tensor, P: MarginalFamily, cap: Optional[int] = None) -> 
         raise ContractViolation(
             f"problem has {C.size} variables, above the solver cap {limit}"
         )
-    A_eq, b_eq = transport_constraints(P)
     try:
-        res = simplex_minimize(C.data.ravel(), A_eq, b_eq)
+        res = simplex_minimize(C.data.ravel(), _TransportColumns(P.d, P.n), _transport_rhs(P))
     except InfeasibleError as exc:  # cannot happen for positive marginals
         raise RuntimeError(f"transport polytope reported infeasible: {exc}") from exc
     plan = Tensor(res.x.reshape(C.data.shape))

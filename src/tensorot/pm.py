@@ -346,10 +346,11 @@ def g_sublevel_params(
     for a, b in zip(pts[:-1], pts[1:]):
         cands.append(0.5 * (a + b))
     t0 = g_value(A, P, pts[0])
+    p_sq = (P.p * P.p).sum(axis=1)
     for _ in range(samples):
         base = pts[rng.integers(len(pts))]
         # keep the perturbation inside the per-mode orthogonal blocks
-        noise = _line_residuals(rng.normal(scale=spread, size=(d, n)), P.p)
+        noise = _line_residuals(rng.normal(scale=spread, size=(d, n)), P.p, p_sq)
         cand = base + noise
         if g_value(A, P, cand) <= t0 * (1 + 1e-12) + 1e-12:
             cands.append(cand)

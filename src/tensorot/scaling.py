@@ -182,9 +182,10 @@ def log_marginal_fit(A: Tensor, p, mode: int) -> np.ndarray:
     return np.log(p) - np.log(s)
 
 
-def _line_residuals(S: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Each row of S minus its orthogonal projection onto the same row of p."""
-    coef = (S * p).sum(axis=1) / (p * p).sum(axis=1)
+def _line_residuals(S: np.ndarray, p: np.ndarray, p_sq: np.ndarray) -> np.ndarray:
+    """Each row of S minus its orthogonal projection onto the same row of p,
+    whose squared norms ``(p * p).sum(axis=1)`` are p_sq."""
+    coef = (S * p).sum(axis=1) / p_sq
     return S - coef[:, None] * p
 
 
@@ -193,25 +194,28 @@ def residual(A: Tensor, p, mode: int) -> tuple[np.ndarray, float]:
     p = np.asarray(p, dtype=float)
     if not np.any(p):
         raise ValueError("target marginal must be nonzero")
-    r = _line_residuals(marginal(A, mode)[None, :], p[None, :])[0]
+    p = p[None, :]
+    r = _line_residuals(marginal(A, mode)[None, :], p, (p * p).sum(axis=1))[0]
     return r, float(np.abs(r).sum())
 
 
 def select_mode(A: Tensor, P: MarginalFamily, bases: Optional[SubspaceBases] = None) -> int:
     """Mode with the largest residual norm; ties break to the smallest index."""
-    return int(np.argmax(_residual_norms(_marginals(A.data), P, bases)))
+    p_sq = (P.p * P.p).sum(axis=1)
+    return int(np.argmax(_residual_norms(_marginals(A.data), P, bases, p_sq)))
 
 
-def _residual_norms(S: np.ndarray, P: MarginalFamily, bases: Optional[SubspaceBases]):
+def _residual_norms(S: np.ndarray, P: MarginalFamily, bases: Optional[SubspaceBases],
+                    p_sq: np.ndarray):
     """l1 residual norm per mode.
 
     With ``bases`` the marginals are embedded into their mode block and
     projected onto the support-aware blocks; without, the plain projected
-    line residual is used.
+    line residual is used, with p_sq the squared norms of the targets.
     """
     d, n = P.d, P.n
     if bases is None:
-        return np.abs(_line_residuals(S, P.p)).sum(axis=1)
+        return np.abs(_line_residuals(S, P.p, p_sq)).sum(axis=1)
     l1 = np.empty(d)
     for j in range(d):
         Q = bases.mode_blocks[j]
@@ -336,6 +340,7 @@ def sinkhorn_scale(
     data0 = data / mass
     zero_mask = data0 == 0.0 if cfg.variant == "support" else None
     log_p = np.log(P.p)
+    p_sq = (P.p * P.p).sum(axis=1)
     sel_bases = bases if cfg.variant == "support" else None
 
     X = np.zeros((d, n))
@@ -347,7 +352,7 @@ def sinkhorn_scale(
     rebuilt = True
     k = 0
     while True:
-        norms = _residual_norms(S, P, sel_bases)
+        norms = _residual_norms(S, P, sel_bases, p_sq)
         worst = float(norms.max())
         if not rebuilt and (worst < cfg.epsilon or k % _REBUILD_STEPS == 0):
             current = _scaled(data0, X, zero_mask)

@@ -75,6 +75,19 @@ class TestSimplexCore:
             assert np.abs(res.x - ref.x).max() <= 1e-8
         assert negative >= 10
 
+    def test_blands_switch_breaks_beales_cycle(self):
+        # Beale (1955): Dantzig's rule with the smallest-index tie break cycles
+        # from the slack basis {x1, x2, x3}; only the switch to Bland's ends it
+        A = np.array([[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                      [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                      [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
+        cost = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+        Binv, x_B, basis = np.eye(3), np.array([0.0, 0.0, 1.0]), np.arange(3)
+        pivots = lp._run_phase(lp._DenseColumns(A), cost, Binv, x_B, basis)
+        assert pivots > 2 * (3 + 7)  # it cycled until the switch
+        assert cost[basis] @ x_B == pytest.approx(-1.25, abs=1e-12)
+        assert np.abs(A[:, basis] @ x_B - [0.0, 0.0, 1.0]).max() <= 1e-12
+
     def test_infeasible_detected(self):
         from tensorot.lp import InfeasibleError
 
@@ -194,6 +207,30 @@ class TestSolveExact:
             tracemalloc.stop()
         assert peak < 1.5 * nbytes
 
+    def test_solve_holds_no_constraint_matrix(self, rng):
+        # the transport columns are priced implicitly: only vectors the size
+        # of the cost tensor and the small basis inverse are held
+        P = random_marginals(rng, 4, 12)
+        C = random_cost(rng, 4, 12)
+        nbytes = transport_constraints(P)[0].nbytes
+        tracemalloc.start()
+        try:
+            solve_exact_tot(C, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * nbytes
+
+    def test_matches_the_dense_simplex(self, rng):
+        for d, n in ((1, 5), (2, 6), (3, 4), (4, 3), (2, 1), (3, 20)):
+            C = random_cost(rng, d, n)
+            P = random_marginals(rng, d, n)
+            sol = solve_exact_tot(C, P)
+            ref = simplex_minimize(C.data.ravel(), *transport_constraints(P))
+            assert sol.value == pytest.approx(ref.value, abs=1e-12)
+            assert np.array_equal(sol.plan.data.ravel() > 0, ref.x > 0)
+            assert sol.iterations == ref.iterations
+
     def test_value_scales_with_the_mass(self, rng):
         C = random_cost(rng, 3, 3)
         P = random_marginals(rng, 3, 3)
@@ -215,6 +252,30 @@ class TestSolveExact:
         monkeypatch.setenv(CAP_ENV_VAR, "10")
         with pytest.raises(ContractViolation):
             solve_exact_tot(C, P)
+
+
+class TestTransportColumns:
+    """The implicit transport system reads as transport_constraints' A_eq."""
+
+    def test_price_and_columns_match_the_dense_matrix(self, rng):
+        for d in range(1, 5):
+            for n in range(1, 6):
+                P = MarginalFamily(np.full((d, n), 1.0 / n))
+                A_eq, _ = transport_constraints(P)
+                cols = lp._TransportColumns(d, n)
+                assert cols.shape == A_eq.shape
+                for _ in range(3):
+                    # dyadic duals: every sum is exact, whatever its order
+                    y = rng.integers(-64, 65, size=A_eq.shape[0]) / 8.0
+                    assert np.array_equal(cols.price(y), y @ A_eq), (d, n)
+                for j in range(A_eq.shape[1]):
+                    assert np.array_equal(cols.column(j), A_eq[:, j]), (d, n, j)
+
+    def test_right_hand_side_matches(self, rng):
+        for d, n in ((1, 4), (3, 1), (3, 5)):
+            P = random_marginals(rng, d, n)
+            _, b_eq = transport_constraints(P)
+            assert np.array_equal(lp._transport_rhs(P), b_eq)
 
 
 class TestScalability:
