@@ -277,6 +277,8 @@ def solve_exact_tot(C: Tensor, P: MarginalFamily, cap: Optional[int] = None) -> 
         raise ContractViolation(
             f"problem has {C.size} variables, above the solver cap {limit}"
         )
+    if not np.isfinite(C.data).all():
+        raise ContractViolation("cost tensor must be finite")
     try:
         res = simplex_minimize(C.data.ravel(), _TransportColumns(P.d, P.n), _transport_rhs(P))
     except InfeasibleError as exc:  # cannot happen for positive marginals

@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 _RCOND = 1e-10
+# Relative cut on the eigenvalues of the support Gram matrix: they are
+# squared singular values, so the SVD cut _RCOND does not carry over.
+_EIG_CUT = 1e-9
 VARIANTS = ("positive", "support")
 # The working iterate is also rebuilt after this many steps without a
 # rebuild: its drift grows about linearly with the steps (about 2e-17 in
@@ -251,8 +254,11 @@ def support_subspaces(A: Tensor, P: MarginalFamily) -> SubspaceBases:
 
     The degenerate part collects exponent combinations that cancel on
     every positive entry (so the scaling cannot see them); its complement
-    inside the marginal-orthogonal space is where the iteration actually
-    moves.  For strictly positive A the degenerate part is trivial.
+    inside span(K), K = ``marginal_orth``, is where the iteration moves.
+    Both come from one eigendecomposition of K^T G K, with eigenvalues at
+    most ``_EIG_CUT`` times the largest taken as null.  G = M^T M for the
+    0/1 matrix M with a row per support cell; it is built from the
+    pairwise two-mode counts of the support indicator, never from M.
     """
     d, n = A.d, A.n
     if P.d != d or P.n != n:
@@ -260,22 +266,19 @@ def support_subspaces(A: Tensor, P: MarginalFamily) -> SubspaceBases:
     blocks = mode_orthogonal_blocks(P)
     marginal_orth = np.hstack(blocks)
 
-    support = np.argwhere(A.data > 0)
-    if support.size == 0:
+    support = (A.data > 0).astype(float)
+    counts = _marginals(support)
+    if not counts[0].any():
         raise ContractViolation("tensor has empty support")
-    cells = support.shape[0]
-    # one row per support cell, then rows <p_j, y_j> = 0, one per mode
-    constraints = np.zeros((cells + d, d * n))
+    gram = np.zeros((d, n, d, n))
     for j in range(d):
-        constraints[np.arange(cells), j * n + support[:, j]] = 1.0
-        constraints[cells + j, j * n:(j + 1) * n] = P.p[j]
-    degenerate = _svd_bases(constraints)[1]
-
-    if degenerate.shape[1] == 0:
-        complement = marginal_orth
-    else:
-        residual_basis = marginal_orth - degenerate @ (degenerate.T @ marginal_orth)
-        complement = _svd_bases(residual_basis)[0]
+        for k in range(j + 1, d):
+            gram[j, :, k, :] = np.einsum(support, range(d), [j, k])
+    gram = gram.reshape(d * n, d * n)
+    gram += gram.T + np.diag(counts.ravel())
+    w, v = np.linalg.eigh(marginal_orth.T @ gram @ marginal_orth)
+    null = int(np.count_nonzero(w <= _EIG_CUT * w.max(initial=0.0)))
+    degenerate, complement = marginal_orth @ v[:, :null], marginal_orth @ v[:, null:]
 
     mode_blocks = [_svd_bases(complement @ (complement.T @ emb))[0] for emb in blocks]
     return SubspaceBases(marginal_orth=marginal_orth, degenerate=degenerate,
@@ -318,21 +321,18 @@ def sinkhorn_scale(
         raise ValueError("marginal family shape does not match the tensor")
     data = A.data
     if cfg.variant == "positive":
-        if np.any(data <= 0):
+        eta = float(data.min())
+        if not eta > 0:
             raise ContractViolation(
                 "positive variant requires a strictly positive tensor; "
                 "use variant='support' for tensors with zeros"
             )
-        eta = float(data.min())
     else:
         A.require_nonnegative("scaling input")
         if bases is None:
             bases = support_subspaces(A, P)
         eta = A.min_positive()
     mass = _fsum(data)
-    for j, s in enumerate(_marginals(data)):
-        if np.any(s <= 0):
-            raise DegenerateSliceError(f"mode {j} has a slice with zero mass")
 
     bound = iteration_bound(n, cfg.epsilon, mass, eta)
     max_iter = cfg.max_iter if cfg.max_iter is not None else max(16, math.ceil(4 * bound))
@@ -349,6 +349,9 @@ def sinkhorn_scale(
 
     current = data0.copy()  # equals _scaled(data0, X) while X is zero
     S = _marginals(current)
+    for j, s in enumerate(S):
+        if np.any(s <= 0):
+            raise DegenerateSliceError(f"mode {j} has a slice with zero mass")
     rebuilt = True
     k = 0
     while True:

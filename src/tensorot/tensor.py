@@ -332,12 +332,11 @@ def inner(A: Tensor, B: Tensor) -> float:
 
 def entropy(U: Tensor) -> float:
     """Shannon entropy of a probability tensor, with 0*log(0) = 0."""
-    if np.any(U.data < 0):
-        raise ContractViolation("entropy needs a nonnegative tensor")
     U.require_probability("entropy argument")
-    flat = U.data.ravel()
-    pos = flat[flat > 0]
-    return -_fsum(pos * np.log(pos))
+    data = U.data
+    terms = np.log(data, out=np.zeros(data.shape), where=data > 0)
+    terms *= data
+    return -_fsum(terms)
 
 
 def exp_neg_scaled(C: Tensor, rate: float) -> Tensor:

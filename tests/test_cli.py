@@ -223,6 +223,18 @@ class TestExitCodes:
         assert code == 2
         assert "contract" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_cost_is_two(self, tmp_path, capsys, bad):
+        # the JSON loader accepts these literals; the solver must refuse them
+        (tmp_path / "c.json").write_text(f'{{"d": 2, "n": 2, "data": [0.0, {bad}, 1.0, 0.0]}}')
+        save_marginals(MarginalFamily([[0.5, 0.5], [0.5, 0.5]]), tmp_path / "p.json")
+        code = run(["solve-exact", "--cost", str(tmp_path / "c.json"),
+                    "--marginals", str(tmp_path / "p.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_nonconvergence_is_three(self, tmp_path, rng, capsys):
         # a diagonal pattern cannot carry asymmetric marginals, so the
         # stopping rule is never reached

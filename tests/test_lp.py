@@ -103,6 +103,13 @@ class TestSolveExact:
         assert np.abs(sol.plan.data - P.p[0]).max() < 1e-12
         assert sol.value == pytest.approx(float(C.data @ P.p[0]), abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_cost(self, rng, bad):
+        data = random_cost(rng, 2, 3).data.copy()
+        data[1, 2] = bad
+        with pytest.raises(ContractViolation, match="finite"):
+            solve_exact_tot(Tensor(data), random_marginals(rng, 2, 3))
+
     def test_hand_lp(self):
         C = Tensor([[0.0, 1.0], [1.0, 0.0]])
         P = MarginalFamily([[0.5, 0.5], [0.5, 0.5]])

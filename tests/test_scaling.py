@@ -9,6 +9,7 @@ import pytest
 
 from tensorot import (
     ContractViolation,
+    DegenerateSliceError,
     IterationRecord,
     MarginalFamily,
     NonConvergenceError,
@@ -142,6 +143,25 @@ class TestSinkhornPositive:
         A = Tensor([[1.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ContractViolation):
             sinkhorn_scale(A, uniform_family(2, 2), SinkhornConfig(epsilon=0.1))
+
+    def test_rejects_nan_input(self, rng):
+        data = random_positive_tensor(rng, 2, 3).data.copy()
+        data[1, 2] = math.nan
+        with pytest.raises(ContractViolation):
+            sinkhorn_scale(Tensor(data), uniform_family(2, 3), SinkhornConfig(epsilon=0.1))
+
+    def test_prologue_takes_the_marginals_once(self, rng, monkeypatch):
+        # a feasible input stops at k=0: its only marginals are the first S
+        P = random_marginals(rng, 3, 3)
+        real, calls = scaling._marginals, []
+
+        def counted(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(scaling, "_marginals", counted)
+        _, _, trace = sinkhorn_scale(outer(P.p), P, SinkhornConfig(epsilon=0.05))
+        assert trace.k_stop == 0 and len(calls) == 1
 
     def test_iterates_are_probability_tensors(self, rng):
         A = random_positive_tensor(rng, 3, 3)
@@ -483,6 +503,153 @@ class TestSupportSubspaces:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_memory_stays_near_the_input(self):
+        # d=4, n=24, 30% zeros: no temporary with a row per support cell
+        rng = np.random.default_rng(424)
+        data = rng.random((24,) * 4) * (rng.random((24,) * 4) > 0.3)
+        A, P = Tensor(data), random_marginals(rng, 4, 24)
+        tracemalloc.start()
+        try:
+            support_subspaces(A, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * A.data.nbytes
+
+
+def _reference_subspaces(A, P):
+    """Degenerate part, complement and mode blocks from the constraint
+    matrix: an SVD of one row per support cell plus one row <p_j, y_j> = 0
+    per mode, then an SVD of ``marginal_orth`` projected off its null space."""
+    d, n = A.d, A.n
+    blocks = scaling.mode_orthogonal_blocks(P)
+    marginal_orth = np.hstack(blocks)
+    support = np.argwhere(A.data > 0)
+    cells = support.shape[0]
+    constraints = np.zeros((cells + d, d * n))
+    for j in range(d):
+        constraints[np.arange(cells), j * n + support[:, j]] = 1.0
+        constraints[cells + j, j * n:(j + 1) * n] = P.p[j]
+    degenerate = _svd_bases(constraints)[1]
+    complement = _svd_bases(marginal_orth - degenerate @ (degenerate.T @ marginal_orth))[0]
+    mode_blocks = [_svd_bases(complement @ (complement.T @ emb))[0] for emb in blocks]
+    return degenerate, complement, mode_blocks
+
+
+def _northwest_support(P):
+    """Cells of the north-west-corner vertex of the transport polytope of P."""
+    left = P.p.copy()
+    idx = [0] * P.d
+    cells = []
+    while True:
+        cells.append(tuple(idx))
+        rows = left[np.arange(P.d), idx]
+        take = rows.min()
+        left[np.arange(P.d), idx] -= take
+        moved = False
+        for j in range(P.d):
+            if rows[j] - take <= 1e-15 and idx[j] < P.n - 1:
+                idx[j] += 1
+                moved = True
+        if not moved:
+            return cells
+
+
+def _support_patterns():
+    """Seeded (kind, A, P): random zero patterns, block patterns (a cell is
+    kept when every index falls in one group), and north-west-corner vertex
+    supports, alone, with the diagonal cells added, or with one or two cells
+    left out.  Leaving out one cell keeps the degenerate part empty but can
+    bring the smallest kept eigenvalue near the cut; leaving out two makes
+    it nonempty."""
+    rng = np.random.default_rng(1207)
+    out = []
+    for pick in range(420):
+        d, n = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+        P = random_marginals(rng, d, n)
+        kind = ("random", "block", "vertex", "vertex+diagonal", "vertex-1", "vertex-2")[pick % 6]
+        if kind == "random":
+            mask = rng.random((n,) * d) < rng.uniform(0.2, 0.9)
+        elif kind == "block":
+            groups = rng.integers(0, int(rng.integers(2, 4)), size=(d, n))
+            mask = np.zeros((n,) * d, dtype=bool)
+            for g in range(groups.max() + 1):
+                mask[np.ix_(*(groups == g))] = True
+        else:
+            cells = _northwest_support(P)
+            for _ in range({"vertex-1": 1, "vertex-2": 2}.get(kind, 0)):
+                del cells[int(rng.integers(len(cells)))]
+            mask = np.zeros((n,) * d, dtype=bool)
+            for cell in cells:
+                mask[cell] = True
+            if kind == "vertex+diagonal":
+                for i in range(n):
+                    mask[(i,) * d] = True
+        if not mask.any():
+            mask[(0,) * d] = True
+        out.append((kind, Tensor(mask * (0.5 + rng.random(mask.shape))), P))
+    return out
+
+
+def _projector(Q):
+    return Q @ Q.T
+
+
+class TestSupportGram:
+    def test_matches_the_constraint_matrix_svd(self):
+        with_degenerate = 0
+        patterns = _support_patterns()
+        for kind, A, P in patterns:
+            bases = support_subspaces(A, P)
+            degenerate, complement, mode_blocks = _reference_subspaces(A, P)
+            with_degenerate += degenerate.shape[1] > 0
+            pairs = [(bases.degenerate, degenerate), (bases.complement, complement),
+                     *zip(bases.mode_blocks, mode_blocks)]
+            for ours, ref in pairs:
+                assert ours.shape == ref.shape, kind
+                assert np.abs(_projector(ours) - _projector(ref)).max() < 1e-10, kind
+        assert len(patterns) >= 300 and with_degenerate >= 100
+
+    def test_eigenvalues_clear_the_cut(self, monkeypatch):
+        # null eigenvalues sit at rounding level and kept ones far above, so
+        # any cut between 1e-12 and 1e-7 splits the same way; the smallest
+        # kept ones (about 5e-7) come from vertex supports less one cell
+        assert 1e-12 < scaling._EIG_CUT < 1e-7
+        real, seen = np.linalg.eigh, []
+
+        def spy(a):
+            w, v = real(a)
+            seen.append(w)
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        for _, A, P in _support_patterns():
+            bases = support_subspaces(A, P)
+            w = seen.pop()
+            rel = w / w.max()
+            assert np.all((rel < 1e-12) | (rel > 1e-7))
+            assert np.count_nonzero(rel < 1e-12) == bases.dim_degenerate
+
+    def test_one_eigendecomposition_and_no_row_per_cell(self, monkeypatch):
+        A = Tensor(np.random.default_rng(5).random((6,) * 4))  # 1296 cells, dn = 24
+        P = uniform_family(4, 6)
+        real_eigh, real_svd, eighs, svd_rows = np.linalg.eigh, np.linalg.svd, [], []
+
+        def eigh(a):
+            eighs.append(a.shape)
+            return real_eigh(a)
+
+        def svd(a, *args, **kwargs):
+            svd_rows.append(a.shape[0])
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        support_subspaces(A, P)
+        assert eighs == [(4 * 5, 4 * 5)]
+        assert max(svd_rows) <= 4 * 6
+        assert len(svd_rows) == 2 * 4  # mode_orthogonal_blocks, then the mode blocks
+
 
 class TestSvdBases:
     @pytest.mark.parametrize("rows, cols, rank", [
@@ -522,6 +689,11 @@ class TestSinkhornSupportVariant:
         cfg = SinkhornConfig(epsilon=0.05, variant="support")
         scaled, _, _ = sinkhorn_scale(A, P, cfg)
         assert np.array_equal(scaled.data == 0, A.data == 0)
+
+    def test_zero_slice_is_refused(self):
+        A = Tensor([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(DegenerateSliceError, match="mode 0"):
+            sinkhorn_scale(A, uniform_family(2, 2), SinkhornConfig(epsilon=0.1, variant="support"))
 
     def test_positive_tensor_matches_positive_variant(self, rng):
         # with full support both variants see the same residuals

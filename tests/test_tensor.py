@@ -334,6 +334,22 @@ class TestEntropy:
         with pytest.raises(ContractViolation):
             entropy(Tensor([[-0.1, 0.6], [0.3, 0.2]]))
 
+    def test_bits_of_the_positive_entries_sum(self, rng):
+        # zero cells add exact zeros, so the sum over the positive entries
+        # alone has the same bits, down to the -0.0 of a point mass
+        point = np.zeros((3, 3))
+        point[1, 2] = 1.0
+        tensors = [point]
+        for d, n in [(1, 5), (2, 4), (3, 3), (4, 5)]:
+            data = rng.random((n,) * d) * (rng.random((n,) * d) > 0.4)
+            data[(0,) * d] = 1.0
+            tensors.append(data / math.fsum(data.ravel().tolist()))
+        for data in tensors:
+            pos = data[data > 0]
+            expect = -math.fsum((pos * np.log(pos)).tolist())
+            got = entropy(Tensor(data))
+            assert got == expect and math.copysign(1.0, got) == math.copysign(1.0, expect)
+
 
 class TestExpNegScaled:
     def test_zero_cost(self):
