@@ -29,6 +29,7 @@ alone: no slack or coupling rows, one extra column.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -36,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolation
-from .tensor import MarginalFamily, Tensor, _fsum
+from .tensor import MarginalFamily, Tensor, _check_family, _fsum
 
 __all__ = [
     "SimplexResult",
@@ -53,6 +54,10 @@ CAP_ENV_VAR = "TENSOROT_LP_CAP"
 
 _PIVOT_TOL = 1e-11
 _FEAS_TOL = 1e-9
+# The pivot tolerances are absolute, so phase 2 prices a cost far from unit
+# scale (the binary exponent of its largest magnitude beyond +-_COST_EXP)
+# scaled into [1/2, 1) by a power of two, which is exact.
+_COST_EXP = 10
 
 
 def size_cap(cap: Optional[int] = None) -> int:
@@ -60,6 +65,12 @@ def size_cap(cap: Optional[int] = None) -> int:
     if cap is not None:
         return cap
     return int(os.environ.get(CAP_ENV_VAR, DEFAULT_CAP))
+
+
+def _check_cap(A: Tensor, cap: Optional[int]) -> None:
+    limit = size_cap(cap)
+    if A.size > limit:
+        raise ContractViolation(f"problem has {A.size} variables, above the solver cap {limit}")
 
 
 class SimplexError(RuntimeError):
@@ -178,14 +189,17 @@ def simplex_minimize(c, A_eq, b_eq) -> SimplexResult:
             col = int(candidates[0])
             _pivot(Binv, x_B, basis, r, col, Binv @ A.column(col))
 
-    # phase 2: original costs
-    cost = np.concatenate([c, np.zeros(m)])
+    # phase 2: original costs, scaled exactly by 2**-k
+    e = math.frexp(float(np.abs(c).max(initial=0.0)))[1]
+    k = e if abs(e) > _COST_EXP else 0
+    cost = np.concatenate([np.ldexp(c, -k), np.zeros(m)])
     iters += _run_phase(A, cost, Binv, x_B, basis)
 
     x = np.zeros(ncols)
     real = basis < ncols
     x[basis[real]] = x_B[real]
-    duals = cost[basis] @ Binv if real.all() else None
+    with np.errstate(over="ignore"):  # a dual past the float range reads inf
+        duals = np.ldexp(cost[basis] @ Binv, k) if real.all() else None
     return SimplexResult(x=x, value=float(c @ x), duals=duals, iterations=iters)
 
 
@@ -270,20 +284,13 @@ def transport_constraints(P: MarginalFamily):
 
 def solve_exact_tot(C: Tensor, P: MarginalFamily, cap: Optional[int] = None) -> ExactSolution:
     """Vertex-optimal plan and exact objective of the transport LP."""
-    if (P.d, P.n) != (C.d, C.n):
-        raise ValueError("marginal family shape does not match the cost tensor")
-    limit = size_cap(cap)
-    if C.size > limit:
-        raise ContractViolation(
-            f"problem has {C.size} variables, above the solver cap {limit}"
-        )
-    if not np.isfinite(C.data).all():
-        raise ContractViolation("cost tensor must be finite")
+    _check_family(C, P)
+    _check_cap(C, cap)
     try:
         res = simplex_minimize(C.data.ravel(), _TransportColumns(P.d, P.n), _transport_rhs(P))
     except InfeasibleError as exc:  # cannot happen for positive marginals
         raise RuntimeError(f"transport polytope reported infeasible: {exc}") from exc
-    plan = Tensor(res.x.reshape(C.data.shape))
+    plan = Tensor._adopt(res.x.reshape(C.data.shape))
     value = _fsum(C.data.ravel() * res.x)
     return ExactSolution(plan=plan, value=value, duals=res.duals, iterations=res.iterations)
 
@@ -295,14 +302,9 @@ def scalability_check(A: Tensor, P: MarginalFamily, cap: Optional[int] = None) -
     support entry written as s + t, s >= 0; a strictly positive optimum
     certifies the pattern.
     """
-    if (P.d, P.n) != (A.d, A.n):
-        raise ValueError("marginal family shape does not match the tensor")
+    _check_family(A, P)
     A.require_nonnegative("pattern tensor")
-    limit = size_cap(cap)
-    if A.size > limit:
-        raise ContractViolation(
-            f"problem has {A.size} variables, above the solver cap {limit}"
-        )
+    _check_cap(A, cap)
     support = np.nonzero(A.data.ravel() > 0)[0]
     if support.size == 0:
         return False

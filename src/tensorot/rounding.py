@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
-from .tensor import MarginalFamily, Tensor, _axis_shape, _fsum, all_marginals
+from .tensor import (MarginalFamily, Tensor, _axis_shape, _check_family, _fsum, _mass,
+                     all_marginals)
 
 __all__ = ["shrink_to_submarginals", "rank_one_correction", "round_to_polytope"]
 
@@ -23,8 +24,7 @@ def shrink_to_submarginals(F: Tensor, P: MarginalFamily) -> tuple[Tensor, np.nda
     as a (d, n) array; each is entrywise below the matching target and all
     carry one common mass.
     """
-    if (P.d, P.n) != (F.d, F.n):
-        raise ValueError("marginal family shape does not match the tensor")
+    _check_family(F, P)
     F.require_nonnegative("plan to round")
     if not np.any(F.data > 0):
         raise ContractViolation("cannot round the zero tensor")
@@ -32,11 +32,13 @@ def shrink_to_submarginals(F: Tensor, P: MarginalFamily) -> tuple[Tensor, np.nda
     data = F.data.copy()
     for j in range(d):
         axes = tuple(ax for ax in range(d) if ax != j)
-        s = data.sum(axis=axes)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            s = data.sum(axis=axes)
+            if j == 0:  # later sums are capped by the targets
+                _mass(s, "plan to round")
             factor = np.where(s > 0, np.minimum(P.p[j] / s, 1.0), 1.0)
         data *= factor.reshape(_axis_shape(d, j, n))
-    G = Tensor(data)
+    G = Tensor._adopt(data)
     return G, all_marginals(G)
 
 
@@ -66,7 +68,7 @@ def rank_one_correction(G: Tensor, submarginals, P: MarginalFamily) -> Tensor:
         correction = np.multiply.outer(correction, row)
     correction /= missing ** (P.d - 1)
     correction += G.data
-    return Tensor(correction)
+    return Tensor._adopt(correction)
 
 
 def round_to_polytope(F: Tensor, P: MarginalFamily) -> Tensor:

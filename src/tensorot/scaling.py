@@ -32,7 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolation, DegenerateSliceError, NonConvergenceError
-from .tensor import MarginalFamily, Tensor, _axis_shape, _fsum, _marginals, _scaled, marginal
+from .tensor import (MarginalFamily, Tensor, _axis_shape, _check_family, _fsum, _marginals,
+                     _mass, _scaled, marginal)
 
 __all__ = [
     "SinkhornConfig",
@@ -260,9 +261,8 @@ def support_subspaces(A: Tensor, P: MarginalFamily) -> SubspaceBases:
     0/1 matrix M with a row per support cell; it is built from the
     pairwise two-mode counts of the support indicator, never from M.
     """
+    _check_family(A, P)
     d, n = A.d, A.n
-    if P.d != d or P.n != n:
-        raise ValueError("marginal family shape does not match the tensor")
     blocks = mode_orthogonal_blocks(P)
     marginal_orth = np.hstack(blocks)
 
@@ -286,8 +286,14 @@ def support_subspaces(A: Tensor, P: MarginalFamily) -> SubspaceBases:
 
 
 def iteration_bound(n: int, epsilon: float, mass: float, eta: float) -> float:
-    """Certified ceiling on the number of scaling steps before stopping."""
-    return 2.0 * (math.sqrt(n) + 1.0) ** 2 / epsilon**2 * math.log(mass / eta)
+    """Certified ceiling on the number of scaling steps before stopping.
+
+    log(mass/eta) is taken as a difference of logs only where the quotient
+    overflows, as it does when eta is subnormal.
+    """
+    ratio = mass / eta
+    log_ratio = math.log(ratio) if math.isfinite(ratio) else math.log(mass) - math.log(eta)
+    return 2.0 * (math.sqrt(n) + 1.0) ** 2 / epsilon**2 * log_ratio
 
 
 def sinkhorn_scale(
@@ -316,9 +322,8 @@ def sinkhorn_scale(
     input is not scalable to the polytope.
     """
     P.require_probability()
+    _check_family(A, P)
     d, n = A.d, A.n
-    if (P.d, P.n) != (d, n):
-        raise ValueError("marginal family shape does not match the tensor")
     data = A.data
     if cfg.variant == "positive":
         eta = float(data.min())
@@ -332,7 +337,7 @@ def sinkhorn_scale(
         if bases is None:
             bases = support_subspaces(A, P)
         eta = A.min_positive()
-    mass = _fsum(data)
+    mass = _mass(data, "scaling input")
 
     bound = iteration_bound(n, cfg.epsilon, mass, eta)
     max_iter = cfg.max_iter if cfg.max_iter is not None else max(16, math.ceil(4 * bound))
@@ -394,4 +399,4 @@ def sinkhorn_scale(
         rebuilt = False
         k += 1
 
-    return Tensor(current), X, trace
+    return Tensor._adopt(current), X, trace

@@ -246,12 +246,12 @@ def lift_ground_metric(delta, order: int, mode: str = "sum") -> Tensor:
         return total
 
     if mode == "sum":
-        return Tensor(pairing_cost(tuple(range(half))))
+        return Tensor._adopt(pairing_cost(tuple(range(half))))
     best = None
     for perm in itertools.permutations(range(half)):
         cost = pairing_cost(perm)
         best = cost if best is None else np.minimum(best, cost)
-    return Tensor(best)
+    return Tensor._adopt(best)
 
 
 def _as_measure_list(vectors, n: int, half: int, what: str) -> np.ndarray:
@@ -312,7 +312,7 @@ def glue(U: Tensor, V: Tensor, tol: float = 1e-8) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         w = u_mat[:, :, None] * v_mat[None, :, :] / mid_u[None, :, None]
     w = np.where(mid_u[None, :, None] > 0, w, 0.0)
-    return Tensor(w.reshape((n,) * (3 * half)))
+    return Tensor._adopt(w.reshape((n,) * (3 * half)))
 
 
 def contract_middle(W: Tensor, half: int) -> Tensor:
@@ -320,7 +320,7 @@ def contract_middle(W: Tensor, half: int) -> Tensor:
     if W.d != 3 * half:
         raise ValueError(f"expected an order-{3 * half} glued plan, got order {W.d}")
     axes = tuple(range(half, 2 * half))
-    return Tensor(W.data.sum(axis=axes))
+    return Tensor._adopt(W.data.sum(axis=axes))
 
 
 def _multisets_equal(left: np.ndarray, right: np.ndarray, tol: float = 1e-12) -> bool:

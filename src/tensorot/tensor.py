@@ -94,8 +94,20 @@ def _fsum(values) -> float:
     return math.fsum(x.tolist())
 
 
+def _mass(values, what: str) -> float:
+    """``_fsum`` of finite entries, refusing a total that overflows."""
+    try:
+        total = _fsum(values)
+    except OverflowError:
+        total = math.inf
+    if math.isinf(total):
+        raise ContractViolation(f"the mass of the {what} overflows")
+    return total
+
+
 class Tensor:
-    """Dense order-d tensor whose modes all share the side length n.
+    """Dense order-d tensor whose modes all share the side length n and
+    whose entries are all finite (others raise ContractViolation).
 
     The data array is copied, made C-contiguous, and frozen; operations
     return new tensors.
@@ -104,14 +116,20 @@ class Tensor:
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.array(data, dtype=float, copy=True, order="C")
-        if arr.ndim < 1:
-            raise ValueError("a tensor needs at least one mode")
-        n = arr.shape[0]
-        if any(side != n for side in arr.shape):
-            raise ValueError(
-                f"all modes must share one side length, got shape {arr.shape}"
-            )
+        self._freeze(np.array(data, dtype=float, copy=True, order="C"))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "Tensor":
+        """``Tensor(arr)`` without the copy, for an array the library has just made."""
+        self = cls.__new__(cls)
+        self._freeze(np.asarray(arr, dtype=float, order="C"))
+        return self
+
+    def _freeze(self, arr: np.ndarray) -> None:
+        if arr.ndim < 1 or arr.shape != arr.shape[:1] * arr.ndim:
+            raise ValueError(f"a tensor needs d >= 1 modes of one side length, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ContractViolation("tensor entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -132,10 +150,7 @@ class Tensor:
 
     @classmethod
     def from_flat(cls, d: int, n: int, flat) -> "Tensor":
-        flat = np.asarray(flat, dtype=float)
-        if flat.size != n**d:
-            raise ValueError(f"expected {n**d} entries for d={d}, n={n}, got {flat.size}")
-        return cls(flat.reshape((n,) * d))
+        return cls._adopt(np.array(flat, dtype=float).reshape((n,) * d))
 
     def is_nonnegative(self) -> bool:
         return bool(np.all(self.data >= 0))
@@ -235,7 +250,12 @@ class MarginalFamily:
 
 def ones_tensor(d: int, n: int) -> Tensor:
     """The all-ones tensor J_d."""
-    return Tensor(np.ones((n,) * d))
+    return Tensor._adopt(np.ones((n,) * d))
+
+
+def _check_family(A: Tensor, P: MarginalFamily) -> None:
+    if (P.d, P.n) != (A.d, A.n):
+        raise ValueError(f"marginal family {(P.d, P.n)} does not match tensor {(A.d, A.n)}")
 
 
 def _check_mode(A: Tensor, mode: int) -> None:
@@ -294,7 +314,7 @@ def rescale_mode(A: Tensor, target, mode: int) -> Tensor:
             f"mode {mode} has a slice with zero mass; cannot rescale"
         )
     factor = target / s
-    return Tensor(A.data * factor.reshape(_axis_shape(A.d, mode, A.n)))
+    return Tensor._adopt(A.data * factor.reshape(_axis_shape(A.d, mode, A.n)))
 
 
 def _scaled(data: np.ndarray, X: np.ndarray, zeros=None) -> np.ndarray:
@@ -320,7 +340,7 @@ def apply_scaling(A: Tensor, exponents) -> Tensor:
         raise ValueError(f"expected scaling exponents of shape {(A.d, A.n)}, got {X.shape}")
     if not np.isfinite(X).all():
         raise ContractViolation("scaling exponents must be finite")
-    return Tensor(_scaled(A.data, X, A.data == 0))
+    return Tensor._adopt(_scaled(A.data, X, A.data == 0))
 
 
 def inner(A: Tensor, B: Tensor) -> float:
@@ -347,13 +367,14 @@ def exp_neg_scaled(C: Tensor, rate: float) -> Tensor:
     """
     if not rate > 0:
         raise ContractViolation("rate must be positive")
-    if not np.isfinite(C.data).all():
-        raise ContractViolation("cost tensor must be finite")
     low = float(C.data.min())
     out = np.exp(-rate * (C.data - low))
     if low != 0.0:
-        out = out * math.exp(-rate * low)
-    return Tensor(out)
+        try:
+            out *= math.exp(-rate * low)
+        except OverflowError:
+            raise ContractViolation("exp(-rate * C) overflows") from None
+    return Tensor._adopt(out)
 
 
 def outer(vectors) -> Tensor:
@@ -364,10 +385,10 @@ def outer(vectors) -> Tensor:
     n = vecs[0].shape[0]
     if any(v.shape != (n,) for v in vecs):
         raise ValueError("all vectors must share one length")
-    out = vecs[0]
+    out = vecs[0].copy()
     for v in vecs[1:]:
         out = np.multiply.outer(out, v)
-    return Tensor(out)
+    return Tensor._adopt(out)
 
 
 def l1_norm(A: Tensor) -> float:

@@ -22,6 +22,7 @@ from .scaling import SinkhornConfig, SinkhornTrace, sinkhorn_scale
 from .tensor import (
     MarginalFamily,
     Tensor,
+    _check_family,
     entropy,
     exp_neg_scaled,
     inner,
@@ -97,7 +98,6 @@ def entropic_tot(
     max_iter: Optional[int] = None,
 ) -> EntropicResult:
     """Scale exp(-lam*C) toward the polytope and report the stopped iterate."""
-    P.require_probability()
     kernel = exp_neg_scaled(C, lam)
     cfg = SinkhornConfig(epsilon=epsilon, max_iter=max_iter)
     plan, scaling, trace = sinkhorn_scale(kernel, P, cfg)
@@ -129,14 +129,13 @@ def approx_tot(
     for experimentation.  Constant costs short-circuit to the product plan.
     ``trace_out`` names a file to receive the iteration trace as JSON lines.
     """
-    if (P.d, P.n) != (C.d, C.n):
-        raise ValueError("marginal family shape does not match the cost tensor")
+    _check_family(C, P)
     P.require_probability()
     if not delta > 0:
         raise ValueError("delta must be positive")
     d, n = C.d, C.n
     shift = float(C.data.min())
-    shifted = Tensor(C.data - shift)
+    shifted = Tensor._adopt(C.data - shift)
     omega = float(shifted.data.max())
 
     if omega == 0.0:

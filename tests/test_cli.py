@@ -1,6 +1,7 @@
 """Command-line front door: subcommands, JSON output, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -245,6 +246,82 @@ class TestExitCodes:
                     "--epsilon", "0.1", "--nonnegative"])
         assert code == 3
 
+
+_FINITE = [0.2, 0.7, 0.5, 0.7, 0.1, 0.4, 0.5, 0.4, 0.3]  # symmetric, d=2, n=3
+_INPUTS = {
+    "finite": _FINITE,
+    "nan": _FINITE[:1] + ["NaN"] + _FINITE[2:],
+    "infinity": _FINITE[:1] + ["Infinity"] + _FINITE[2:],
+    "negative": _FINITE[:1] + [-1.0] + _FINITE[2:],
+    "all-zero": [0.0] * 9,
+    "1e308": [1e308] * 9,
+}
+_FORMS = {
+    "solve-exact": ["solve-exact", "--cost", "{t}", "--marginals", "{p}"],
+    "solve-entropic": ["solve-entropic", "--cost", "{t}", "--marginals", "{p}",
+                       "--lambda", "5", "--epsilon", "0.1"],
+    "approx": ["approx", "--cost", "{t}", "--marginals", "{p}", "--delta", "0.1"],
+    "scale": ["scale", "--tensor", "{t}", "--marginals", "{p}", "--epsilon", "0.1"],
+    "scale-nonnegative": ["scale", "--tensor", "{t}", "--marginals", "{p}",
+                          "--epsilon", "0.1", "--nonnegative"],
+    "round": ["round", "--tensor", "{t}", "--marginals", "{p}"],
+    "set-distance": ["set-distance", "--cost", "{t}", "--left", "{l}", "--right", "{r}"],
+    "set-distance-entropic": ["set-distance", "--cost", "{t}", "--left", "{l}",
+                              "--right", "{r}", "--solver", "entropic", "--delta", "0.1"],
+    "validate-cost": ["validate-cost", "--cost", "{t}"],
+    "scalable": ["scalable", "--tensor", "{t}", "--marginals", "{p}"],
+}
+# 1e308 entries: a mass overflows where one is needed; costs stay summable
+_HUGE_CODES = {"scale": 2, "scale-nonnegative": 2, "round": 2, "solve-exact": 0,
+               "approx": 0, "set-distance": 0, "validate-cost": 0}
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestExitCodeContract:
+    """Every subcommand maps every input onto 0/1/2/3 and prints strict JSON."""
+
+    def run_form(self, tmp_path, capsys, argv, data):
+        n = math.isqrt(len(data))
+        (tmp_path / "t.json").write_text(
+            '{"d": 2, "n": %d, "data": [%s]}' % (n, ", ".join(str(v) for v in data)))
+        save_marginals(MarginalFamily([[0.2, 0.3, 0.5], [0.3, 0.3, 0.4]]), tmp_path / "p.json")
+        save_marginals(MarginalFamily([[0.2, 0.3, 0.5]]), tmp_path / "l.json")
+        save_marginals(MarginalFamily([[0.3, 0.3, 0.4]]), tmp_path / "r.json")
+        paths = {key: str(tmp_path / f"{key}.json") for key in "tplr"}
+        code = run([arg.format(**paths) for arg in argv])
+        out = capsys.readouterr().out
+        if out:
+            _strict_json(out)
+        return code, out
+
+    @pytest.mark.parametrize("name", list(_INPUTS))
+    @pytest.mark.parametrize("form", list(_FORMS))
+    def test_every_form_and_input(self, tmp_path, capsys, form, name):
+        code, out = self.run_form(tmp_path, capsys, _FORMS[form], _INPUTS[name])
+        assert code in (0, 1, 2, 3)
+        if name in ("nan", "infinity"):
+            assert (code, out) == (2, "")
+        if name == "1e308" and form in _HUGE_CODES:
+            assert code == _HUGE_CODES[form]
+        if name == "finite":
+            assert code == 0
+
+    def test_nan_cost_is_no_distance_matrix(self, tmp_path, capsys):
+        code, out = self.run_form(tmp_path, capsys, _FORMS["validate-cost"],
+                                  [0.0, "NaN", 1.0, 0.0])
+        assert (code, out) == (2, "")
+
+    def test_overflowing_kernel_is_two(self, tmp_path, capsys):
+        # exp(-1000 * -1) is past the float range
+        argv = [("1000" if arg == "5" else arg) for arg in _FORMS["solve-entropic"]]
+        code, out = self.run_form(tmp_path, capsys, argv, _INPUTS["negative"])
+        assert (code, out) == (2, "")
 
 class TestProcess:
     def test_module_entry_point_matches_run(self, files, capsys):

@@ -110,6 +110,23 @@ class TestSolveExact:
         with pytest.raises(ContractViolation, match="finite"):
             solve_exact_tot(Tensor(data), random_marginals(rng, 2, 3))
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-12, 1e8, 1e100, 1e300])
+    def test_costs_far_from_unit_scale(self, rng, scale):
+        # the pivot tolerances are absolute: such costs are priced after an
+        # exact power-of-two scaling
+        for d, n in ((2, 6), (3, 4)):
+            C = random_cost(rng, d, n)
+            P = random_marginals(rng, d, n)
+            sol, unit = solve_exact_tot(Tensor(C.data * scale), P), solve_exact_tot(C, P)
+            assert sol.value / scale == pytest.approx(unit.value, rel=1e-12)
+            assert np.abs(sol.duals / scale - unit.duals).max() < 1e-12
+            assert max_marginal_gap(sol.plan, P) < 1e-10
+
+    def test_largest_finite_costs(self):
+        P = MarginalFamily([[0.2, 0.3, 0.5], [0.3, 0.3, 0.4]])
+        sol = solve_exact_tot(Tensor(np.full((3, 3), 1e308)), P)
+        assert sol.value == pytest.approx(1e308, rel=1e-12)
+
     def test_hand_lp(self):
         C = Tensor([[0.0, 1.0], [1.0, 0.0]])
         P = MarginalFamily([[0.5, 0.5], [0.5, 0.5]])

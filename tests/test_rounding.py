@@ -57,6 +57,13 @@ class TestShrink:
         with pytest.raises(ContractViolation):
             shrink_to_submarginals(Tensor(np.zeros((2, 2))), P)
 
+    @pytest.mark.parametrize("value", [1e308, 0.6e308])
+    def test_rejects_an_overflowing_mass(self, value):
+        # 1e308: a marginal sum overflows; 0.6e308: only their total does
+        P = MarginalFamily([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ContractViolation, match="overflows"):
+            shrink_to_submarginals(Tensor(np.full((2, 2), value)), P)
+
     def test_zero_slice_is_skipped(self):
         # a whole row of zeros carries no mass; its factor is 1
         F = Tensor([[0.7, 0.5], [0.0, 0.0]])

@@ -150,6 +150,20 @@ class TestSinkhornPositive:
         with pytest.raises(ContractViolation):
             sinkhorn_scale(Tensor(data), uniform_family(2, 3), SinkhornConfig(epsilon=0.1))
 
+    @pytest.mark.parametrize("variant", ["positive", "support"])
+    def test_rejects_an_overflowing_mass(self, variant):
+        A = Tensor(np.full((3, 3), 1e308))
+        cfg = SinkhornConfig(epsilon=0.1, variant=variant)
+        with pytest.raises(ContractViolation, match="overflows"):
+            sinkhorn_scale(A, uniform_family(2, 3), cfg)
+
+    def test_bound_with_a_subnormal_eta(self):
+        # mass/eta overflows, its logarithm does not
+        bound = iteration_bound(12, 0.1, 1.0, 5e-324)
+        assert bound == pytest.approx(2 * (math.sqrt(12) + 1) ** 2 / 0.01 * 744.44, rel=1e-4)
+        assert iteration_bound(3, 0.1, 2.5, 0.125) == (
+            2.0 * (math.sqrt(3) + 1.0) ** 2 / 0.1**2 * math.log(2.5 / 0.125))
+
     def test_prologue_takes_the_marginals_once(self, rng, monkeypatch):
         # a feasible input stops at k=0: its only marginals are the first S
         P = random_marginals(rng, 3, 3)

@@ -55,6 +55,41 @@ class TestTensorType:
         assert Tensor(np.full((2, 2), 0.25)).is_probability()
         assert not Tensor(np.full((2, 2), 0.3)).is_probability()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        data = np.ones((3, 3))
+        data[1, 2] = bad
+        with pytest.raises(ContractViolation, match="finite"):
+            Tensor(data)
+        with pytest.raises(ContractViolation, match="finite"):
+            Tensor.from_flat(2, 3, data.ravel())
+
+    def test_copies_the_callers_array(self):
+        data = np.ones((2, 2))
+        A = Tensor(data)
+        data[0, 0] = 7.0
+        assert A.data[0, 0] == 1.0
+        assert data.flags.writeable
+
+    def test_adopt_freezes_without_a_copy(self):
+        data = np.ones((2, 2))
+        A = Tensor._adopt(data)
+        assert A.data is data
+        assert not data.flags.writeable
+
+    def test_adopt_copies_a_strided_array(self):
+        data = np.arange(16.0).reshape(4, 4)
+        A = Tensor._adopt(data[::2, ::2])
+        assert A.data.flags.c_contiguous
+        assert data.flags.writeable
+        assert A.data.tolist() == [[0.0, 2.0], [8.0, 10.0]]
+
+    def test_adopt_runs_the_same_checks(self):
+        with pytest.raises(ContractViolation, match="finite"):
+            Tensor._adopt(np.array([1.0, np.nan]))
+        with pytest.raises(ValueError):
+            Tensor._adopt(np.ones((2, 3)))
+
 
 class TestMarginalFamily:
     def test_rejects_nonpositive(self):
@@ -377,11 +412,22 @@ class TestExpNegScaled:
         with pytest.raises(ContractViolation):
             exp_neg_scaled(ones_tensor(2, 2), 0.0)
 
+    def test_rejects_an_overflowing_kernel(self):
+        # exp(1000) is past the float range
+        with pytest.raises(ContractViolation, match="overflows"):
+            exp_neg_scaled(Tensor([[-1.0, 0.0], [0.0, 1.0]]), 1000.0)
+
 
 class TestOuter:
     def test_single_vector(self):
         out = outer([np.array([0.2, 0.8])])
         assert np.array_equal(out.data, [0.2, 0.8])
+
+    def test_single_vector_is_copied(self):
+        v = np.array([0.25, 0.75])
+        out = outer([v])
+        v[0] = 9.0
+        assert out.data.tolist() == [0.25, 0.75]
 
     def test_hand_example(self):
         out = outer([np.array([0.5, 0.5]), np.array([0.6, 0.4])])

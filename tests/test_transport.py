@@ -149,3 +149,34 @@ class TestApproxTot:
             approx_tot(C, P, delta=0.05, max_iter=1)
         assert err.value.partial["delta"] == 0.05
         assert err.value.trace is not None
+
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_subnormal_kernel_minimum(self, seed):
+        # lam*omega is about 745: the kernel's smallest entry is subnormal,
+        # so mass/eta overflows and the iteration bound needs log differences
+        rng = np.random.default_rng(seed)
+        C = Tensor(rng.random((12,) * 3))
+        p = 0.2 + rng.random((3, 12))
+        P = MarginalFamily(p / p.sum(axis=1, keepdims=True))
+        B, cert = approx_tot(C, P, delta=0.02)
+        assert 0.0 < cert.eta < np.finfo(float).tiny
+        tau = solve_exact_tot(C, P).value
+        assert tau - 1e-12 <= cert.value <= tau + 0.02
+        assert max_marginal_gap(B, P, ord=np.inf) <= 1e-10
+
+    def test_copies_no_cost_sized_array(self, rng, monkeypatch):
+        # every tensor approx_tot builds wraps an array it has just made
+        C = random_cost(rng, 3, 5)
+        flat = Tensor(np.full(C.data.shape, 0.5))  # takes the product-plan path
+        P = random_marginals(rng, 3, 5)
+        real, copies = np.array, []
+
+        def spy(obj, *args, **kwargs):
+            if isinstance(obj, np.ndarray) and obj.size == C.size:
+                copies.append(obj.shape)
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(np, "array", spy)
+        approx_tot(C, P, delta=0.1)
+        approx_tot(flat, P, delta=0.1)
+        assert copies == []
