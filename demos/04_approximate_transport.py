@@ -1,8 +1,9 @@
 """Delta-accurate multi-marginal transport values, checked against the LP.
 
-The pipeline entropically regularizes the cost, scales the kernel, rounds
-the stopped iterate into the polytope, and certifies the result.  The
-exact simplex oracle validates everything at this scale.
+The pipeline entropically regularizes the cost, scales the kernel, and
+stops once the rounded iterate's cost is within delta of the dual lower
+bound of the scaling exponents.  The exact simplex oracle validates
+everything at this scale.
 Run with:  python3 demos/04_approximate_transport.py
 """
 
@@ -27,10 +28,12 @@ for delta in (0.5, 0.1, 0.02):
           f"lambda {cert.lam:6.1f}  k_stop {cert.k_stop:5d}  "
           f"moved {cert.movement_l1:.2e}")
 
-# The certificate carries a two-sided bracket from the entropic objective.
+# The certificate brackets the LP value: the dual lower bound of the
+# scaling exponents and the rounded plan's cost, within delta when certified.
 plan, cert = tot.approx_tot(C, P, 0.1)
-print("bracket [%.4f, %.4f], width %.4f (diagnostic)"
-      % (cert.bracket_low, cert.bracket_high, cert.bracket_high - cert.bracket_low))
+print("bracket [%.4f, %.4f], width %.4f, holds the lp value %.4f"
+      % (cert.bracket_low, cert.bracket_high, cert.bracket_high - cert.bracket_low,
+         exact.value))
 print("error budget %.4f <= delta %.4f by the parameter policy"
       % (cert.theoretical_error, cert.delta))
 

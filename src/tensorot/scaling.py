@@ -17,6 +17,11 @@ the returned iterate exactly.  Long runs also rebuild every
 ``_REBUILD_STEPS`` steps, which keeps the rounding drift of the working
 iterate bounded.
 
+A caller may pass a ``certify`` callable, which is shown the rebuilt
+iterate at steps ``_CERTIFY_FIRST``, twice that, and so on, and ends the
+run when it returns true; ``approx_tot`` stops there on a certified
+duality gap.
+
 Each step leaves one :class:`IterationRecord`, which is exactly one line
 of the JSONL trace; its ``kl`` is K(p_j || s_j) of the applied step, taken
 from the same log-ratio vector the step adds to the exponents.
@@ -27,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -60,6 +65,9 @@ VARIANTS = ("positive", "support")
 # l1 per step on d=3, n=6 kernels), and a long run must stay a probability
 # tensor to 1e-12.
 _REBUILD_STEPS = 1024
+# A ``certify`` callable is asked at this step and at each doubling of it:
+# a run of k steps pays at most log2(k / _CERTIFY_FIRST) + 1 checks.
+_CERTIFY_FIRST = 8
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,7 @@ class SinkhornTrace:
     mass: Optional[float] = None
     rematerializations: int = 0  # rebuilds of the iterate from the exponents
     drift: float = 0.0  # largest l1 gap, at a rebuild, of working vs rebuilt marginals
+    stop: Optional[str] = None  # "residual" or "certified"; not in the JSONL
 
     @property
     def g_values(self) -> np.ndarray:
@@ -301,13 +310,16 @@ def sinkhorn_scale(
     P: MarginalFamily,
     cfg: SinkhornConfig,
     bases: Optional[SubspaceBases] = None,
+    *,
+    certify: Optional[Callable[[Tensor, np.ndarray], bool]] = None,
 ) -> tuple[Tensor, np.ndarray, SinkhornTrace]:
     """Scale A toward the transport polytope of P, one greedy mode at a time.
 
-    Returns the stopped iterate (a probability tensor whose marginals are
-    all within 2*epsilon of their targets in l1), the accumulated (d, n)
-    log-domain exponents X with ``apply_scaling(A/||A||_1, X)`` equal to
-    the stopped iterate, and the full trace.
+    Returns the stopped iterate (a probability tensor; when the stopping
+    test ends the run, its marginals are all within 2*epsilon of their
+    targets in l1), the accumulated (d, n) log-domain exponents X with
+    ``apply_scaling(A/||A||_1, X)`` equal to the stopped iterate, and the
+    full trace.
 
     Each step rescales the chosen mode of a working copy of A/||A||_1 in
     place.  When the working iterate passes the stopping test, it is
@@ -316,6 +328,13 @@ def sinkhorn_scale(
     the discarded test leaves no record.  A run also rebuilds after
     ``_REBUILD_STEPS`` steps without one.  The trace counts the rebuilds
     and keeps the largest l1 gap between working and rebuilt marginals.
+
+    With ``certify``, the run also rebuilds at steps ``_CERTIFY_FIRST``,
+    twice that, and so on, and calls ``certify(iterate, X)`` on the rebuilt
+    iterate and a copy of its exponents.  If it returns true, the run stops
+    there with its final record, as on the stopping test, and returns that
+    iterate; otherwise the steps go on from it.  ``trace.stop`` says which
+    test ended the run.  Without ``certify`` no check step exists.
 
     Raises :class:`NonConvergenceError` (carrying the trace) if the cap on
     iterations is hit; for the support variant that usually means the
@@ -352,6 +371,8 @@ def sinkhorn_scale(
     trace = SinkhornTrace(epsilon=cfg.epsilon, variant=cfg.variant,
                           bound=bound, eta=eta, mass=mass)
 
+    shapes = [_axis_shape(d, j, n) for j in range(d)]
+    check_at = _CERTIFY_FIRST if certify is not None else None
     current = data0.copy()  # equals _scaled(data0, X) while X is zero
     S = _marginals(current)
     for j, s in enumerate(S):
@@ -362,7 +383,7 @@ def sinkhorn_scale(
     while True:
         norms = _residual_norms(S, P, sel_bases, p_sq)
         worst = float(norms.max())
-        if not rebuilt and (worst < cfg.epsilon or k % _REBUILD_STEPS == 0):
+        if not rebuilt and (worst < cfg.epsilon or k % _REBUILD_STEPS == 0 or k == check_at):
             current = _scaled(data0, X, zero_mask)
             fresh = _marginals(current)
             trace.rematerializations += 1
@@ -372,6 +393,16 @@ def sinkhorn_scale(
         mode = int(np.argmax(norms))
         g_val = float(S[0].sum()) - float(np.sum(P.p * X))
         if worst < cfg.epsilon:
+            trace.stop = "residual"
+            iterate = Tensor._adopt(current)
+        elif k == check_at:
+            check_at *= 2
+            iterate = Tensor._adopt(current)
+            if certify(iterate, X.copy()):
+                trace.stop = "certified"
+            else:
+                current = current.copy()  # adopting froze it
+        if trace.stop is not None:
             trace.records.append(IterationRecord(
                 k=k, mode=None, residual_l1=worst, kl=None, g_value=g_val))
             trace.k_stop = k
@@ -393,10 +424,10 @@ def sinkhorn_scale(
         row = X[mode] + step
         # apply the increment X takes after rounding, so the working
         # iterate tracks exp(X) and rounding in X does not pile up as drift
-        current *= np.exp(row - X[mode]).reshape(_axis_shape(d, mode, n))
+        current *= np.exp(row - X[mode]).reshape(shapes[mode])
         X[mode] = row
         S = _marginals(current)
         rebuilt = False
         k += 1
 
-    return Tensor._adopt(current), X, trace
+    return iterate, X, trace

@@ -359,6 +359,16 @@ def entropy(U: Tensor) -> float:
     return -_fsum(terms)
 
 
+def _spread(C: Tensor) -> tuple[float, float]:
+    """Smallest entry of C and the spread max - min, refusing a spread
+    past the float range (finite entries of both signs can have one)."""
+    low = float(C.data.min())
+    spread = float(C.data.max()) - low
+    if not math.isfinite(spread):
+        raise ContractViolation("the spread max - min of the cost overflows")
+    return low, spread
+
+
 def exp_neg_scaled(C: Tensor, rate: float) -> Tensor:
     """Entrywise exp(-rate * c), shifting C to min 0 before exponentiating.
 
@@ -367,7 +377,7 @@ def exp_neg_scaled(C: Tensor, rate: float) -> Tensor:
     """
     if not rate > 0:
         raise ContractViolation("rate must be positive")
-    low = float(C.data.min())
+    low, _ = _spread(C)
     out = np.exp(-rate * (C.data - low))
     if low != 0.0:
         try:

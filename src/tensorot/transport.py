@@ -4,8 +4,13 @@ The entropic relaxation replaces the LP objective by
 ``<C,U> - H(U)/lam``; its unique minimizer is a scaling of exp(-lam*C),
 so the greedy scaling iteration solves it.  The delta-approximation
 pipeline shifts the cost to min 0, picks lam and epsilon from the target
-accuracy, scales, rounds the stopped iterate into the polytope, and
-returns the plan with a bracket and error-budget certificate.
+accuracy and scales.  Every iterate brackets the LP optimum: rounding it
+into the polytope gives a feasible plan, whose cost is an upper bound,
+and its scaling exponents are dual potentials, whose c-transform gives a
+lower bound.  The scaling asks for the bracket at steps 8, 16, 32, ...
+and stops at the first one narrower than delta; the a-priori stopping
+test at epsilon stays as the fallback.  The plan comes back with its
+bracket and the policy's error budget.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from .tensor import (
     MarginalFamily,
     Tensor,
     _check_family,
+    _fsum,
+    _spread,
     entropy,
     exp_neg_scaled,
     inner,
@@ -54,12 +61,20 @@ class EntropicResult:
 
 @dataclass(frozen=True)
 class TotCertificate:
-    """What the approximate solver promises and what it observed."""
+    """What the approximate solver promises and what it observed.
+
+    ``[bracket_low, bracket_high]`` holds the LP optimum on both stopping
+    paths: ``bracket_high`` is ``value``, the cost of the returned feasible
+    plan, and ``bracket_low`` is the dual bound of the final scaling
+    exponents.  A certified stop has ``value - bracket_low <= delta``.
+    The fallback stop at epsilon meets ``value - OPT <= delta`` through the
+    policy on lam and epsilon, whose a-priori budget is
+    ``theoretical_error``; its bracket can be wider than delta.
+    """
 
     value: float  # <C, B> for the returned feasible plan
-    entropic_value: Optional[float]  # objective of the stopped iterate
-    bracket_low: float
-    bracket_high: float
+    bracket_low: float  # certified lower bound on the LP optimum
+    bracket_high: float  # value
     delta: float
     lam: Optional[float]
     epsilon: Optional[float]
@@ -68,7 +83,7 @@ class TotCertificate:
     omega: float  # spread max - min of the cost
     eta: Optional[float]  # smallest kernel entry
     shift: float  # subtracted cost minimum
-    theoretical_error: float  # bracket width + rounding slack, <= delta by policy
+    theoretical_error: float  # entropic bias + rounding slack, <= delta by policy
 
     def __post_init__(self):
         if self.bracket_low > self.bracket_high:
@@ -113,6 +128,26 @@ def entropic_bracket(value: float, lam: float, n: int, d: int) -> tuple[float, f
     return value, value + d * math.log(n) / lam
 
 
+def _lower_bound(C: Tensor, P: MarginalFamily, X: np.ndarray, lam: float) -> float:
+    """Lower bound on min <C, B> over the transport polytope of P, from
+    exponents X that scale exp(-lam*C) up to a constant factor.
+
+    ``y_j = X_j / lam`` are dual potentials of the transport LP.  ``y_0``
+    is replaced by the c-transform of the others,
+    ``y_0[i] = min over i_1..i_{d-1} of C[i, ...] - sum_{j>0} y_j[i_j]``,
+    which makes ``sum_j y_j[i_j] <= C[i_0, ..., i_{d-1}]`` on every cell,
+    so ``sum_j <p_j, y_j>`` bounds every feasible plan's cost from below
+    whatever X is.  X_0, and with it the kernel's constant factor and
+    normalization, drops out.
+    """
+    Y = X / lam
+    tail = np.zeros(1)  # sum_{j>0} y_j[i_j], flat over (i_1, ..., i_{d-1})
+    for y in Y[1:]:
+        tail = (tail[:, None] + y).ravel()
+    Y[0] = (C.data.reshape(C.n, -1) - tail).min(axis=1)
+    return _fsum(P.p * Y)
+
+
 def approx_tot(
     C: Tensor,
     P: MarginalFamily,
@@ -126,7 +161,9 @@ def approx_tot(
 
     lam and epsilon default to the accuracy policy ``lam = 2 d log(n)/delta``
     and ``epsilon = min(1/4, delta/(16 d omega))``; both can be overridden
-    for experimentation.  Constant costs short-circuit to the product plan.
+    for experimentation.  The scaling stops at the first check whose
+    rounded plan costs at most delta above the dual lower bound, or else at
+    epsilon.  Constant costs short-circuit to the product plan.
     ``trace_out`` names a file to receive the iteration trace as JSON lines.
     """
     _check_family(C, P)
@@ -134,9 +171,7 @@ def approx_tot(
     if not delta > 0:
         raise ValueError("delta must be positive")
     d, n = C.d, C.n
-    shift = float(C.data.min())
-    shifted = Tensor._adopt(C.data - shift)
-    omega = float(shifted.data.max())
+    shift, omega = _spread(C)
 
     if omega == 0.0:
         plan = outer(list(P.p))
@@ -146,8 +181,7 @@ def approx_tot(
                                   bound=0.0, eta=None, mass=None)
             empty.write_jsonl(trace_out)
         cert = TotCertificate(
-            value=value, entropic_value=None,
-            bracket_low=value, bracket_high=value,
+            value=value, bracket_low=value, bracket_high=value,
             delta=delta, lam=None, epsilon=None, k_stop=0,
             movement_l1=0.0, omega=0.0, eta=None, shift=shift,
             theoretical_error=0.0)
@@ -156,8 +190,27 @@ def approx_tot(
     lam_eff = lam if lam is not None else 2.0 * d * math.log(n) / delta
     eps_eff = epsilon if epsilon is not None else min(0.25, delta / (16.0 * d * omega))
 
+    def bracket(iterate: Tensor, X: np.ndarray) -> tuple[Tensor, float, float]:
+        low = _lower_bound(C, P, X, lam_eff)
+        plan = round_to_polytope(iterate, P)
+        return plan, low, inner(C, plan)
+
+    certified = []
+
+    def certify(iterate: Tensor, X: np.ndarray) -> bool:
+        plan, low, value = bracket(iterate, X)
+        if value - low > delta:
+            return False
+        certified.append((plan, low, value))
+        return True
+
+    cfg = SinkhornConfig(epsilon=eps_eff, max_iter=max_iter)
     try:
-        res = entropic_tot(shifted, P, lam_eff, eps_eff, max_iter=max_iter)
+        # no reference outlives its call: the shifted cost is dropped once
+        # the kernel is built (the checks read C; the c-transform takes the
+        # shift into y_0), and the kernel once the scaling returns
+        iterate, X, trace = sinkhorn_scale(
+            exp_neg_scaled(Tensor._adopt(C.data - shift), lam_eff), P, cfg, certify=certify)
     except NonConvergenceError as exc:
         exc.partial = {
             "delta": delta, "lambda": lam_eff, "epsilon": eps_eff,
@@ -166,17 +219,13 @@ def approx_tot(
         }
         raise
     if trace_out is not None:
-        res.trace.write_jsonl(trace_out)
-    plan = round_to_polytope(res.plan, P)
-    movement = l1_distance(plan, res.plan)
-    value = inner(C, plan)
-    entropic_value = res.value + shift
-    low, high = entropic_bracket(entropic_value, lam_eff, n, d)
+        trace.write_jsonl(trace_out)
+    plan, low, value = certified[0] if certified else bracket(iterate, X)
     cert = TotCertificate(
-        value=value, entropic_value=entropic_value,
-        bracket_low=low, bracket_high=high,
+        # low <= OPT <= value; at an optimal plan rounding can put low an ulp above
+        value=value, bracket_low=min(low, value), bracket_high=value,
         delta=delta, lam=lam_eff, epsilon=eps_eff,
-        k_stop=res.trace.k_stop, movement_l1=movement,
-        omega=omega, eta=res.trace.eta, shift=shift,
+        k_stop=trace.k_stop, movement_l1=l1_distance(plan, iterate),
+        omega=omega, eta=trace.eta, shift=shift,
         theoretical_error=d * math.log(n) / lam_eff + 8.0 * d * omega * eps_eff)
     return plan, cert

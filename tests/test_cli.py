@@ -255,6 +255,8 @@ _INPUTS = {
     "negative": _FINITE[:1] + [-1.0] + _FINITE[2:],
     "all-zero": [0.0] * 9,
     "1e308": [1e308] * 9,
+    # finite, but max - min is past the float range
+    "both-signs": [-1e308, 1e308, 1e308, 1e308, -1e308, 1e308, 1e308, 1e308, -1e308],
 }
 _FORMS = {
     "solve-exact": ["solve-exact", "--cost", "{t}", "--marginals", "{p}"],
@@ -274,6 +276,9 @@ _FORMS = {
 # 1e308 entries: a mass overflows where one is needed; costs stay summable
 _HUGE_CODES = {"scale": 2, "scale-nonnegative": 2, "round": 2, "solve-exact": 0,
                "approx": 0, "set-distance": 0, "validate-cost": 0}
+# a cost spread past the float range is refused where the kernel needs it
+_BOTH_SIGNS_CODES = {"solve-exact": 0, "solve-entropic": 2, "approx": 2, "set-distance": 0,
+                     "set-distance-entropic": 2}
 
 
 def _strict_json(text):
@@ -309,6 +314,9 @@ class TestExitCodeContract:
             assert (code, out) == (2, "")
         if name == "1e308" and form in _HUGE_CODES:
             assert code == _HUGE_CODES[form]
+        if name == "both-signs" and form in _BOTH_SIGNS_CODES:
+            assert code == _BOTH_SIGNS_CODES[form]
+            assert (out == "") == (code == 2)
         if name == "finite":
             assert code == 0
 
@@ -316,6 +324,12 @@ class TestExitCodeContract:
         code, out = self.run_form(tmp_path, capsys, _FORMS["validate-cost"],
                                   [0.0, "NaN", 1.0, 0.0])
         assert (code, out) == (2, "")
+
+    def test_exact_value_of_a_cost_spread_past_the_float_range(self, tmp_path, capsys):
+        # the diagonal carries at most 0.9 of the mass: 0.9 * -1e308 + 0.1 * 1e308
+        code, out = self.run_form(tmp_path, capsys, _FORMS["solve-exact"], _INPUTS["both-signs"])
+        assert code == 0
+        assert _strict_json(out)["value"] == pytest.approx(-0.8e308, rel=1e-12)
 
     def test_overflowing_kernel_is_two(self, tmp_path, capsys):
         # exp(-1000 * -1) is past the float range

@@ -33,6 +33,7 @@ from tensorot import (
 )
 from tensorot import scaling
 from tensorot.scaling import _svd_bases
+from tensorot.tensor import _fsum, _scaled
 
 from conftest import max_marginal_gap, random_cost, random_marginals, random_positive_tensor
 
@@ -297,6 +298,54 @@ class TestSinkhornPositive:
         assert [dataclasses.asdict(r) for r in trace.records] == lines[:-1]
         assert set(lines[-1]) == {"k_stop", "bound", "eta", "mass"}
         assert lines[-1]["k_stop"] == trace.k_stop
+
+
+class TestCertifyHook:
+    """A caller's ``certify`` sees the rebuilt iterate at steps 8, 16, 32, ...
+    and ends the run there when it returns true."""
+
+    def _run(self, rng, monkeypatch, answer):
+        A, P, cfg = TestIncrementalStep()._long_solve(rng)
+        steps, calls = [], []
+        real_record = scaling.IterationRecord
+
+        def spy_record(**fields):
+            steps.append(fields["k"])
+            return real_record(**fields)
+
+        def certify(iterate, X):
+            calls.append((len(steps), iterate.data.copy(), X.copy()))
+            return answer(len(calls))
+
+        monkeypatch.setattr(scaling, "IterationRecord", spy_record)
+        return A, cfg, sinkhorn_scale(A, P, cfg, certify=certify), calls
+
+    def test_called_at_doubling_steps_on_the_rebuild(self, rng, monkeypatch):
+        A, cfg, (scaled, X, trace), calls = self._run(rng, monkeypatch, lambda i: False)
+        assert trace.stop == "residual"
+        checks = [8 * 2**i for i in range(20) if 8 * 2**i < trace.k_stop]
+        assert len(checks) >= 3
+        assert [k for k, _, _ in calls] == checks
+        data0 = A.data / _fsum(A.data)
+        for _, iterate, X_k in calls:
+            assert np.array_equal(iterate, _scaled(data0, X_k))
+        assert trace.rematerializations >= len(calls)
+
+    def test_true_ends_the_run_there(self, rng, monkeypatch):
+        A, cfg, (scaled, X, trace), calls = self._run(rng, monkeypatch, lambda i: i == 2)
+        assert trace.stop == "certified" and trace.k_stop == 16
+        assert [r.k for r in trace.records] == list(range(trace.k_stop + 1))
+        assert trace.modes.count(None) == 1 and trace.records[-1].mode is None
+        assert trace.residuals[-1] >= cfg.epsilon  # the stopping test had not passed
+        assert np.array_equal(scaled.data, calls[-1][1])
+        assert np.array_equal(X, calls[-1][2])
+
+    def test_stop_reason_without_a_hook(self, rng):
+        A, P, cfg = TestIncrementalStep()._long_solve(rng)
+        assert sinkhorn_scale(A, P, cfg)[2].stop == "residual"
+        with pytest.raises(NonConvergenceError) as err:
+            sinkhorn_scale(A, P, SinkhornConfig(epsilon=1e-4, max_iter=5))
+        assert err.value.trace.stop is None
 
 
 def _with_zeros(rng, d, n, share=0.15):

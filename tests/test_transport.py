@@ -1,5 +1,6 @@
 """Entropic relaxation and the delta-approximation pipeline."""
 
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,9 @@ from tensorot import (
     inner,
     outer,
     solve_exact_tot,
+    transport,
 )
+from tensorot.transport import _lower_bound
 
 from conftest import max_marginal_gap, random_cost, random_marginals
 
@@ -164,6 +167,14 @@ class TestApproxTot:
         assert tau - 1e-12 <= cert.value <= tau + 0.02
         assert max_marginal_gap(B, P, ord=np.inf) <= 1e-10
 
+    @pytest.mark.parametrize("epsilon", [None, 0.1])
+    def test_rejects_a_cost_spread_past_the_float_range(self, epsilon):
+        from tensorot import ContractViolation
+
+        C = Tensor([[-1e308, 1e308], [1e308, -1e308]])
+        with pytest.raises(ContractViolation, match="spread"):
+            approx_tot(C, uniform_family(2, 2), delta=0.1, epsilon=epsilon)
+
     def test_copies_no_cost_sized_array(self, rng, monkeypatch):
         # every tensor approx_tot builds wraps an array it has just made
         C = random_cost(rng, 3, 5)
@@ -180,3 +191,92 @@ class TestApproxTot:
         approx_tot(C, P, delta=0.1)
         approx_tot(flat, P, delta=0.1)
         assert copies == []
+
+
+def _stopped_by(monkeypatch):
+    """Spy on the scaling approx_tot runs; the list gets each run's stop reason."""
+    stops, real = [], transport.sinkhorn_scale
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        stops.append(out[2].stop)
+        return out
+
+    monkeypatch.setattr(transport, "sinkhorn_scale", spy)
+    return stops
+
+
+def _lp_potentials(C, P):
+    """Optimal LP duals as (d, n) potentials y with sum_j y_j[i_j] <= C."""
+    sol = solve_exact_tot(C, P)
+    d, n = P.d, P.n
+    Y = np.zeros((d, n))
+    Y[:, :n - 1] = sol.duals[:-1].reshape(d, n - 1)
+    Y[0] += sol.duals[-1]  # the total-mass row
+    return sol.value, Y
+
+
+class TestCertifiedBracket:
+    """The bracket [bracket_low, value] holds the LP optimum on both stopping
+    paths, and a certified stop is within delta of its own lower bound."""
+
+    @pytest.mark.parametrize("delta", [0.2, 0.05, 0.02])
+    @pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (4, 3)])
+    def test_certificate_is_sound(self, monkeypatch, d, n, delta):
+        stops = _stopped_by(monkeypatch)
+        for seed in range(4):
+            rng = np.random.default_rng([d, n, seed])
+            C, P = random_cost(rng, d, n), random_marginals(rng, d, n)
+            B, cert = approx_tot(C, P, delta)
+            tau = solve_exact_tot(C, P).value
+            assert cert.bracket_low <= tau + 1e-12
+            assert tau <= cert.value + 1e-12
+            assert cert.bracket_high == cert.value == pytest.approx(inner(C, B), abs=1e-12)
+            if stops[-1] == "certified":
+                assert cert.value - cert.bracket_low <= delta
+            assert max_marginal_gap(B, P, ord=np.inf) <= 1e-10
+        assert "certified" in stops
+
+    @pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (4, 3)])
+    def test_residual_path_brackets_the_optimum(self, monkeypatch, d, n):
+        # a loose epsilon stops the scaling before its first check at step 8
+        stops = _stopped_by(monkeypatch)
+        for seed in range(4):
+            rng = np.random.default_rng([d, n, seed, 1])
+            C, P = random_cost(rng, d, n), random_marginals(rng, d, n)
+            _, cert = approx_tot(C, P, delta=0.05, lam=5.0, epsilon=0.2)
+            tau = solve_exact_tot(C, P).value
+            assert stops[-1] == "residual" and cert.k_stop < 8
+            assert cert.bracket_low <= tau + 1e-12
+            assert tau <= cert.value + 1e-12
+
+    @pytest.mark.parametrize("d,n", [(1, 4), (2, 5), (3, 4), (4, 3)])
+    def test_lower_bound_of_the_lp_duals_is_the_optimum(self, rng, d, n):
+        # y_0 comes from the other potentials alone: a spoiled X_0 and any
+        # kernel normalization drop out, and X scales as lam * y
+        C, P = random_cost(rng, d, n), random_marginals(rng, d, n)
+        tau, Y = _lp_potentials(C, P)
+        lam = 37.0
+        X = lam * Y
+        X[0] += 1.0 + rng.random(n)
+        assert _lower_bound(C, P, X, lam) == pytest.approx(tau, abs=1e-12)
+
+    def test_lower_bound_holds_for_any_exponents(self, rng):
+        C, P = random_cost(rng, 3, 4), random_marginals(rng, 3, 4)
+        tau = solve_exact_tot(C, P).value
+        for scale in (0.1, 1.0, 10.0, 1e3):
+            assert _lower_bound(C, P, scale * rng.standard_normal((3, 4)), 20.0) <= tau + 1e-12
+
+    def test_certified_stop_and_its_trace(self, monkeypatch, tmp_path, rng):
+        stops = _stopped_by(monkeypatch)
+        C, P = random_cost(rng, 3, 6), random_marginals(rng, 3, 6)
+        path = tmp_path / "trace.jsonl"
+        B, cert = approx_tot(C, P, 0.05, trace_out=path)
+        assert stops == ["certified"]
+        assert cert.k_stop in (8, 16, 32, 64, 128, 256, 512, 1024)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["k"] for r in lines[:-1]] == list(range(cert.k_stop + 1))
+        assert lines[-2]["mode"] is None and lines[-2]["residual_l1"] >= cert.epsilon
+        assert lines[-1].keys() == {"k_stop", "bound", "eta", "mass"}
+        assert lines[-1]["k_stop"] == cert.k_stop
+        assert cert.value - cert.bracket_low <= 0.05
