@@ -2,8 +2,10 @@
 
 Tensor files look like ``{"d": 2, "n": 2, "data": [...]}`` with the data
 row-major (first index slowest); marginal files look like
-``{"p": [[...], [...]]}``.  Floats are written with Python's shortest
-round-trip representation, so save/load is bit-stable.
+``{"p": [[...], [...]]}``.  ``d`` and ``n`` are JSON integers and every
+entry a JSON number; other types raise :class:`FileFormatError`.  Floats
+are written with Python's shortest round-trip representation, so
+save/load is bit-stable.
 """
 
 from __future__ import annotations
@@ -33,20 +35,26 @@ def _load_json(path) -> dict:
     return obj
 
 
+def _is_numbers(values) -> bool:
+    """True for a list of JSON numbers: ints and floats, no bools or strings."""
+    return isinstance(values, list) and set(map(type, values)) <= {int, float}
+
+
 def load_tensor(path) -> Tensor:
     obj = _load_json(path)
     for field in ("d", "n", "data"):
         if field not in obj:
             raise FileFormatError(f"{path}: missing field '{field}'")
-    try:
-        d, n = int(obj["d"]), int(obj["n"])
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: fields 'd' and 'n' must be integers") from exc
+    d, n = obj["d"], obj["n"]
+    if type(d) is not int or type(n) is not int:
+        raise FileFormatError(f"{path}: fields 'd' and 'n' must be integers")
     if d < 1 or n < 1:
         raise FileFormatError(f"{path}: fields 'd' and 'n' must be positive")
+    if not _is_numbers(obj["data"]):
+        raise FileFormatError(f"{path}: field 'data' must be a flat list of numbers")
     try:
         return Tensor.from_flat(d, n, obj["data"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{path}: field 'data' is malformed ({exc})") from exc
 
 
@@ -60,9 +68,12 @@ def load_marginals(path) -> MarginalFamily:
     obj = _load_json(path)
     if "p" not in obj:
         raise FileFormatError(f"{path}: missing field 'p'")
+    p = obj["p"]  # one vector, or a list of them
+    if not (_is_numbers(p) or isinstance(p, list) and all(map(_is_numbers, p))):
+        raise FileFormatError(f"{path}: field 'p' must hold lists of numbers")
     try:
         return MarginalFamily.from_dict(obj)
-    except (TypeError, ValueError, ContractViolation) as exc:
+    except (TypeError, ValueError, OverflowError, ContractViolation) as exc:
         raise FileFormatError(f"{path}: field 'p' is malformed ({exc})") from exc
 
 

@@ -2,10 +2,10 @@
 
 Each step rescales the single mode whose marginal deviates most, measured
 by the l1 norm of the marginal after the component along the target has
-been projected out.  For strictly positive tensors that projected
-residual is used directly; for tensors with zeros the residual is first
-pushed through the support-aware subspace decomposition, which ignores
-directions along which the scaling cannot move.
+been projected out.  For tensors with zeros the support variant also
+removes from that projected residual its component along the degenerate
+exponent directions, which cancel on every support cell, so the scaling
+cannot move along them.
 
 A step adds its log-domain update to the accumulated exponents and
 multiplies the chosen mode's slices of a private working iterate in place
@@ -149,15 +149,14 @@ class SubspaceBases:
     All live in the stacked (d*n)-dimensional space of per-mode exponent
     vectors: ``marginal_orth`` collects every direction orthogonal to its
     mode's target marginal; ``degenerate`` the directions that leave the
-    scaling unchanged on the support; ``complement`` the orthogonal
-    complement of the latter inside the former; ``mode_blocks[j]`` the
-    projection of mode j's orthogonal directions into the complement.
+    scaling unchanged on the support, which the support variant removes
+    from each mode's projected residual; ``complement`` the orthogonal
+    complement of the latter inside the former.
     """
 
     marginal_orth: np.ndarray
     degenerate: np.ndarray
     complement: np.ndarray
-    mode_blocks: list[np.ndarray]
 
     @property
     def dim_degenerate(self) -> int:
@@ -220,21 +219,21 @@ def select_mode(A: Tensor, P: MarginalFamily, bases: Optional[SubspaceBases] = N
 
 def _residual_norms(S: np.ndarray, P: MarginalFamily, bases: Optional[SubspaceBases],
                     p_sq: np.ndarray):
-    """l1 residual norm per mode.
+    """l1 residual norm per mode: the projected line residual r_j, with p_sq
+    the squared norms of the targets.
 
-    With ``bases`` the marginals are embedded into their mode block and
-    projected onto the support-aware blocks; without, the plain projected
-    line residual is used, with p_sq the squared norms of the targets.
+    With ``bases`` whose degenerate part D is nonempty, mode j's residual is
+    embedded into its block and loses its component along D, as
+    ``e_j(r_j) - D (D_j^T r_j)`` with D_j block j's rows of D.
     """
-    d, n = P.d, P.n
-    if bases is None:
-        return np.abs(_line_residuals(S, P.p, p_sq)).sum(axis=1)
-    l1 = np.empty(d)
-    for j in range(d):
-        Q = bases.mode_blocks[j]
-        coords = Q[j * n:(j + 1) * n, :].T @ S[j]
-        l1[j] = np.abs(Q @ coords).sum()
-    return l1
+    R = _line_residuals(S, P.p, p_sq)
+    if bases is None or not bases.dim_degenerate:
+        return np.abs(R).sum(axis=1)
+    d = P.d
+    D = bases.degenerate.reshape(d, P.n, -1)
+    full = -np.einsum("mnk,jk->jmn", D, np.einsum("jnk,jn->jk", D, R))
+    full[np.arange(d), np.arange(d)] += R
+    return np.abs(full).sum(axis=(1, 2))
 
 
 def _svd_bases(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +262,8 @@ def support_subspaces(A: Tensor, P: MarginalFamily) -> SubspaceBases:
     """Decompose the exponent space according to the support pattern of A.
 
     The degenerate part collects exponent combinations that cancel on
-    every positive entry (so the scaling cannot see them); its complement
+    every positive entry (so the scaling cannot see them, and the support
+    variant removes them from its projected residuals); its complement
     inside span(K), K = ``marginal_orth``, is where the iteration moves.
     Both come from one eigendecomposition of K^T G K, with eigenvalues at
     most ``_EIG_CUT`` times the largest taken as null.  G = M^T M for the
@@ -272,8 +272,7 @@ def support_subspaces(A: Tensor, P: MarginalFamily) -> SubspaceBases:
     """
     _check_family(A, P)
     d, n = A.d, A.n
-    blocks = mode_orthogonal_blocks(P)
-    marginal_orth = np.hstack(blocks)
+    marginal_orth = np.hstack(mode_orthogonal_blocks(P))
 
     support = (A.data > 0).astype(float)
     counts = _marginals(support)
@@ -287,22 +286,25 @@ def support_subspaces(A: Tensor, P: MarginalFamily) -> SubspaceBases:
     gram += gram.T + np.diag(counts.ravel())
     w, v = np.linalg.eigh(marginal_orth.T @ gram @ marginal_orth)
     null = int(np.count_nonzero(w <= _EIG_CUT * w.max(initial=0.0)))
-    degenerate, complement = marginal_orth @ v[:, :null], marginal_orth @ v[:, null:]
-
-    mode_blocks = [_svd_bases(complement @ (complement.T @ emb))[0] for emb in blocks]
-    return SubspaceBases(marginal_orth=marginal_orth, degenerate=degenerate,
-                         complement=complement, mode_blocks=mode_blocks)
+    return SubspaceBases(marginal_orth=marginal_orth, degenerate=marginal_orth @ v[:, :null],
+                         complement=marginal_orth @ v[:, null:])
 
 
 def iteration_bound(n: int, epsilon: float, mass: float, eta: float) -> float:
     """Certified ceiling on the number of scaling steps before stopping.
 
     log(mass/eta) is taken as a difference of logs only where the quotient
-    overflows, as it does when eta is subnormal.
+    overflows, as it does when eta is subnormal.  Raises
+    :class:`ContractViolation` where epsilon is so small that the bound is
+    not a finite float.
     """
     ratio = mass / eta
     log_ratio = math.log(ratio) if math.isfinite(ratio) else math.log(mass) - math.log(eta)
-    return 2.0 * (math.sqrt(n) + 1.0) ** 2 / epsilon**2 * log_ratio
+    eps_sq = epsilon**2
+    bound = 2.0 * (math.sqrt(n) + 1.0) ** 2 / eps_sq * log_ratio if eps_sq else math.inf
+    if not math.isfinite(bound):
+        raise ContractViolation(f"epsilon={epsilon!r} is too small for a finite iteration bound")
+    return bound
 
 
 def sinkhorn_scale(
@@ -359,6 +361,8 @@ def sinkhorn_scale(
     mass = _mass(data, "scaling input")
 
     bound = iteration_bound(n, cfg.epsilon, mass, eta)
+    if cfg.max_iter is None and not math.isfinite(4 * bound):
+        raise ContractViolation(f"epsilon={cfg.epsilon!r} is too small for a finite step cap")
     max_iter = cfg.max_iter if cfg.max_iter is not None else max(16, math.ceil(4 * bound))
 
     data0 = data / mass

@@ -69,7 +69,9 @@ class TotCertificate:
     exponents.  A certified stop has ``value - bracket_low <= delta``.
     The fallback stop at epsilon meets ``value - OPT <= delta`` through the
     policy on lam and epsilon, whose a-priori budget is
-    ``theoretical_error``; its bracket can be wider than delta.
+    ``theoretical_error``; its bracket can be wider than delta.  ``stop``
+    says which path ended the run: ``"certified"`` (also for a constant
+    cost, whose bracket has width zero) or ``"residual"``.
     """
 
     value: float  # <C, B> for the returned feasible plan
@@ -84,6 +86,7 @@ class TotCertificate:
     eta: Optional[float]  # smallest kernel entry
     shift: float  # subtracted cost minimum
     theoretical_error: float  # entropic bias + rounding slack, <= delta by policy
+    stop: str  # "certified" or "residual"; not in as_dict
 
     def __post_init__(self):
         if self.bracket_low > self.bracket_high:
@@ -184,7 +187,7 @@ def approx_tot(
             value=value, bracket_low=value, bracket_high=value,
             delta=delta, lam=None, epsilon=None, k_stop=0,
             movement_l1=0.0, omega=0.0, eta=None, shift=shift,
-            theoretical_error=0.0)
+            theoretical_error=0.0, stop="certified")
         return plan, cert
 
     lam_eff = lam if lam is not None else 2.0 * d * math.log(n) / delta
@@ -227,5 +230,6 @@ def approx_tot(
         delta=delta, lam=lam_eff, epsilon=eps_eff,
         k_stop=trace.k_stop, movement_l1=l1_distance(plan, iterate),
         omega=omega, eta=trace.eta, shift=shift,
-        theoretical_error=d * math.log(n) / lam_eff + 8.0 * d * omega * eps_eff)
+        theoretical_error=d * math.log(n) / lam_eff + 8.0 * d * omega * eps_eff,
+        stop=trace.stop)
     return plan, cert

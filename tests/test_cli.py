@@ -208,6 +208,39 @@ class TestExitCodes:
         assert code == 1
         assert "data" in capsys.readouterr().err
 
+    _WRONG_TYPES = {
+        "float-d": ('{"d": 2.7, "n": 2, "data": [1, 2, 3, 4]}', None),
+        "string-d": ('{"d": "2", "n": 2, "data": [1, 2, 3, 4]}', None),
+        "bool-n": ('{"d": 2, "n": true, "data": [1, 2, 3, 4]}', None),
+        "string-data": ('{"d": 2, "n": 2, "data": ["1", "2", "3", "4"]}', None),
+        "bool-data": ('{"d": 2, "n": 2, "data": [true, false, true, true]}', None),
+        "one-bool-data": ('{"d": 2, "n": 2, "data": [1.0, 2.0, 3.0, false]}', None),
+        "nested-data": ('{"d": 2, "n": 2, "data": [[1.0, 2.0], [3.0, 4.0]]}', None),
+        "int-past-float-data": ('{"d": 1, "n": 2, "data": [1, 1%s]}' % ("0" * 400), None),
+        "string-weights": (None, '{"p": [["0.5", "0.5"], [0.5, 0.5]]}'),
+        "bool-weight": (None, '{"p": [[0.5, 0.5], [true, 0.5]]}'),
+        "string-p": (None, '{"p": "0.5"}'),
+    }
+
+    @pytest.mark.parametrize("case", list(_WRONG_TYPES))
+    def test_fields_of_the_wrong_type_are_one(self, tmp_path, capsys, case):
+        tensor, marginals = self._WRONG_TYPES[case]
+        (tmp_path / "a.json").write_text(tensor or '{"d": 2, "n": 2, "data": [1, 2, 3, 4.5]}')
+        (tmp_path / "p.json").write_text(marginals or '{"p": [[0.5, 0.5], [0.5, 0.5]]}')
+        code = run(["round", "--tensor", str(tmp_path / "a.json"),
+                    "--marginals", str(tmp_path / "p.json")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "input error" in captured.err
+
+    def test_well_typed_fields_are_zero(self, tmp_path, capsys):
+        # JSON integers are numbers too, and one vector is a family of one
+        (tmp_path / "a.json").write_text('{"d": 1, "n": 2, "data": [1, 2.5]}')
+        (tmp_path / "p.json").write_text('{"p": [1, 3]}')
+        code = run(["round", "--tensor", str(tmp_path / "a.json"),
+                    "--marginals", str(tmp_path / "p.json")])
+        assert code == 0
+
     def test_missing_file_is_one(self, tmp_path, capsys):
         good = tmp_path / "p.json"
         save_marginals(MarginalFamily([[0.5, 0.5], [0.5, 0.5]]), good)
@@ -336,6 +369,21 @@ class TestExitCodeContract:
         argv = [("1000" if arg == "5" else arg) for arg in _FORMS["solve-entropic"]]
         code, out = self.run_form(tmp_path, capsys, argv, _INPUTS["negative"])
         assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("form, epsilon", [
+        ("scale", "1e-200"), ("scale", "1e-160"), ("scale-nonnegative", "1e-200"),
+        ("solve-entropic", "1e-200"), ("approx", "1e-200")])
+    def test_epsilon_without_a_finite_bound_is_two(self, tmp_path, capsys, form, epsilon):
+        # epsilon**2 underflows (1e-200) or the bound overflows (1e-160);
+        # the same forms exit 0 at their usual epsilon on this input
+        argv = list(_FORMS[form])
+        if "--epsilon" in argv:
+            argv[argv.index("--epsilon") + 1] = epsilon
+        else:
+            argv += ["--epsilon", epsilon]
+        code, out = self.run_form(tmp_path, capsys, argv, _FINITE)
+        assert (code, out) == (2, "")
+
 
 class TestProcess:
     def test_module_entry_point_matches_run(self, files, capsys):

@@ -165,6 +165,27 @@ class TestSinkhornPositive:
         assert iteration_bound(3, 0.1, 2.5, 0.125) == (
             2.0 * (math.sqrt(3) + 1.0) ** 2 / 0.1**2 * math.log(2.5 / 0.125))
 
+    @pytest.mark.parametrize("epsilon", [1e-200, 1.5e-162, 1e-160])
+    def test_bound_refuses_an_epsilon_past_the_float_range(self, epsilon):
+        # epsilon**2 underflows to 0, or the quotient overflows to inf
+        with pytest.raises(ContractViolation, match="too small"):
+            iteration_bound(3, epsilon, 1.0, 0.05)
+        with pytest.raises(ContractViolation, match="too small"):
+            sinkhorn_scale(Tensor(np.full((3, 3), 0.5)), uniform_family(2, 3),
+                           SinkhornConfig(epsilon=epsilon))
+
+    def test_bound_keeps_its_bits_near_the_float_limit(self):
+        for epsilon in (5e-154, 1e-150, 1e-8):
+            assert iteration_bound(3, epsilon, 1.0, 0.05) == (
+                2.0 * (math.sqrt(3) + 1.0) ** 2 / epsilon**2 * math.log(1.0 / 0.05))
+        # 0 * inf has no value either
+        with pytest.raises(ContractViolation):
+            iteration_bound(1, 1e-160, 1.0, 1.0)
+        # a finite bound whose step cap 4 * bound overflows
+        with pytest.raises(ContractViolation, match="too small"):
+            sinkhorn_scale(Tensor(np.full((3, 3), 0.5)), uniform_family(2, 3),
+                           SinkhornConfig(epsilon=5e-154))
+
     def test_prologue_takes_the_marginals_once(self, rng, monkeypatch):
         # a feasible input stops at k=0: its only marginals are the first S
         P = random_marginals(rng, 3, 3)
@@ -534,17 +555,10 @@ class TestSupportSubspaces:
         A = random_positive_tensor(rng, 2, 4)
         P = random_marginals(rng, 2, 4)
         bases = support_subspaces(A, P)
-        for Q in [bases.marginal_orth, bases.complement, *bases.mode_blocks]:
+        for Q in [bases.marginal_orth, bases.complement]:
             if Q.shape[1]:
                 gram = Q.T @ Q
                 assert np.abs(gram - np.eye(Q.shape[1])).max() < 1e-10
-
-    def test_mode_blocks_have_full_dimension(self, rng):
-        P = random_marginals(rng, 2, 3)
-        A = Tensor([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
-        bases = support_subspaces(A, P)
-        for Q in bases.mode_blocks:
-            assert Q.shape[1] == 2
 
     def test_order_one_collapses(self):
         A = Tensor([1.0, 0.0, 2.0])
@@ -664,14 +678,24 @@ class TestSupportGram:
         patterns = _support_patterns()
         for kind, A, P in patterns:
             bases = support_subspaces(A, P)
-            degenerate, complement, mode_blocks = _reference_subspaces(A, P)
+            degenerate, complement, _ = _reference_subspaces(A, P)
             with_degenerate += degenerate.shape[1] > 0
-            pairs = [(bases.degenerate, degenerate), (bases.complement, complement),
-                     *zip(bases.mode_blocks, mode_blocks)]
-            for ours, ref in pairs:
+            for ours, ref in [(bases.degenerate, degenerate), (bases.complement, complement)]:
                 assert ours.shape == ref.shape, kind
                 assert np.abs(_projector(ours) - _projector(ref)).max() < 1e-10, kind
         assert len(patterns) >= 300 and with_degenerate >= 100
+
+    def test_residual_norms_match_the_mode_blocks(self):
+        # the support residual of mode j is defined as the projection of
+        # e_j(s_j) onto the range Q_j of mode j's block projected into the
+        # complement; the reference builds Q_j with an SVD
+        for kind, A, P in _support_patterns():
+            S = all_marginals(A)
+            *_, mode_blocks = _reference_subspaces(A, P)
+            ref = np.array([np.abs(Q @ (Q[j * A.n:(j + 1) * A.n].T @ S[j])).sum()
+                            for j, Q in enumerate(mode_blocks)])
+            ours = scaling._residual_norms(S, P, support_subspaces(A, P), (P.p * P.p).sum(axis=1))
+            assert np.abs(ours - ref).max() <= 1e-10 * ref.max(), kind
 
     def test_eigenvalues_clear_the_cut(self, monkeypatch):
         # null eigenvalues sit at rounding level and kept ones far above, so
@@ -711,7 +735,7 @@ class TestSupportGram:
         support_subspaces(A, P)
         assert eighs == [(4 * 5, 4 * 5)]
         assert max(svd_rows) <= 4 * 6
-        assert len(svd_rows) == 2 * 4  # mode_orthogonal_blocks, then the mode blocks
+        assert len(svd_rows) == 4  # mode_orthogonal_blocks only
 
 
 class TestSvdBases:
@@ -758,15 +782,22 @@ class TestSinkhornSupportVariant:
         with pytest.raises(DegenerateSliceError, match="mode 0"):
             sinkhorn_scale(A, uniform_family(2, 2), SinkhornConfig(epsilon=0.1, variant="support"))
 
-    def test_positive_tensor_matches_positive_variant(self, rng):
-        # with full support both variants see the same residuals
-        A = random_positive_tensor(rng, 2, 3)
-        P = random_marginals(rng, 2, 3)
-        _, _, tr_pos = sinkhorn_scale(A, P, SinkhornConfig(epsilon=0.01))
-        _, _, tr_sup = sinkhorn_scale(A, P, SinkhornConfig(epsilon=0.01, variant="support"))
-        assert tr_pos.k_stop == tr_sup.k_stop
-        assert [r.mode for r in tr_pos.records] == [r.mode for r in tr_sup.records]
-        assert np.allclose(tr_pos.residuals, tr_sup.residuals, rtol=1e-8)
+    def test_positive_tensor_matches_positive_variant(self):
+        # a full support has no degenerate part, so both variants run the
+        # same residual code and the same steps
+        for seed in range(4):
+            for d in (2, 3, 4):
+                rng = np.random.default_rng(seed)
+                A, P = random_positive_tensor(rng, d, 3), random_marginals(rng, d, 3)
+                assert support_subspaces(A, P).dim_degenerate == 0
+                runs = [sinkhorn_scale(A, P, SinkhornConfig(epsilon=0.01, variant=v))
+                        for v in ("positive", "support")]
+                (it_pos, X_pos, tr_pos), (it_sup, X_sup, tr_sup) = runs
+                assert tr_pos.k_stop == tr_sup.k_stop
+                assert tr_pos.modes == tr_sup.modes
+                assert np.array_equal(tr_pos.residuals, tr_sup.residuals)
+                assert X_pos.tobytes() == X_sup.tobytes()
+                assert it_pos.data.tobytes() == it_sup.data.tobytes()
 
 
 class TestConfig:

@@ -16,7 +16,6 @@ from tensorot import (
     inner,
     outer,
     solve_exact_tot,
-    transport,
 )
 from tensorot.transport import _lower_bound
 
@@ -87,6 +86,7 @@ class TestApproxTot:
         assert cert.value == pytest.approx(2.5, abs=1e-12)
         assert cert.k_stop == 0
         assert cert.theoretical_error == 0.0
+        assert cert.stop == "certified" and cert.bracket_low == cert.bracket_high
 
     def test_hand_instance(self):
         B, cert = approx_tot(swap_cost(), uniform_family(2, 2), delta=0.1)
@@ -193,19 +193,6 @@ class TestApproxTot:
         assert copies == []
 
 
-def _stopped_by(monkeypatch):
-    """Spy on the scaling approx_tot runs; the list gets each run's stop reason."""
-    stops, real = [], transport.sinkhorn_scale
-
-    def spy(*args, **kwargs):
-        out = real(*args, **kwargs)
-        stops.append(out[2].stop)
-        return out
-
-    monkeypatch.setattr(transport, "sinkhorn_scale", spy)
-    return stops
-
-
 def _lp_potentials(C, P):
     """Optimal LP duals as (d, n) potentials y with sum_j y_j[i_j] <= C."""
     sol = solve_exact_tot(C, P)
@@ -222,12 +209,13 @@ class TestCertifiedBracket:
 
     @pytest.mark.parametrize("delta", [0.2, 0.05, 0.02])
     @pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (4, 3)])
-    def test_certificate_is_sound(self, monkeypatch, d, n, delta):
-        stops = _stopped_by(monkeypatch)
+    def test_certificate_is_sound(self, d, n, delta):
+        stops = []
         for seed in range(4):
             rng = np.random.default_rng([d, n, seed])
             C, P = random_cost(rng, d, n), random_marginals(rng, d, n)
             B, cert = approx_tot(C, P, delta)
+            stops.append(cert.stop)
             tau = solve_exact_tot(C, P).value
             assert cert.bracket_low <= tau + 1e-12
             assert tau <= cert.value + 1e-12
@@ -238,15 +226,17 @@ class TestCertifiedBracket:
         assert "certified" in stops
 
     @pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (4, 3)])
-    def test_residual_path_brackets_the_optimum(self, monkeypatch, d, n):
+    def test_residual_path_brackets_the_optimum(self, tmp_path, d, n):
         # a loose epsilon stops the scaling before its first check at step 8
-        stops = _stopped_by(monkeypatch)
+        path = tmp_path / "trace.jsonl"
         for seed in range(4):
             rng = np.random.default_rng([d, n, seed, 1])
             C, P = random_cost(rng, d, n), random_marginals(rng, d, n)
-            _, cert = approx_tot(C, P, delta=0.05, lam=5.0, epsilon=0.2)
+            _, cert = approx_tot(C, P, delta=0.05, lam=5.0, epsilon=0.2, trace_out=path)
             tau = solve_exact_tot(C, P).value
-            assert stops[-1] == "residual" and cert.k_stop < 8
+            assert cert.stop == "residual" and cert.k_stop < 8
+            # the trace's last step line passed the stopping test
+            assert json.loads(path.read_text().splitlines()[-2])["residual_l1"] < cert.epsilon
             assert cert.bracket_low <= tau + 1e-12
             assert tau <= cert.value + 1e-12
 
@@ -267,12 +257,11 @@ class TestCertifiedBracket:
         for scale in (0.1, 1.0, 10.0, 1e3):
             assert _lower_bound(C, P, scale * rng.standard_normal((3, 4)), 20.0) <= tau + 1e-12
 
-    def test_certified_stop_and_its_trace(self, monkeypatch, tmp_path, rng):
-        stops = _stopped_by(monkeypatch)
+    def test_certified_stop_and_its_trace(self, tmp_path, rng):
         C, P = random_cost(rng, 3, 6), random_marginals(rng, 3, 6)
         path = tmp_path / "trace.jsonl"
         B, cert = approx_tot(C, P, 0.05, trace_out=path)
-        assert stops == ["certified"]
+        assert cert.stop == "certified"
         assert cert.k_stop in (8, 16, 32, 64, 128, 256, 512, 1024)
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r["k"] for r in lines[:-1]] == list(range(cert.k_stop + 1))
