@@ -42,11 +42,11 @@ g, kl = trace.g_values, trace.kl_values
 drift = max(abs((g[k] - g[k + 1]) - kl[k]) for k in range(1, trace.k_stop))
 print("potential-vs-KL telescoping drift: %.1e" % drift)
 
-# Tensors with zeros use the support-aware variant: the residual is first
-# projected onto the directions the scaling can actually move along.
+# A tensor with zeros is scaled on its support: its zeros alone select the
+# residual that leaves out the directions the scaling cannot move along.
 pattern = tot.solve_exact_tot(tot.Tensor(rng.random((n,) * d)), P).plan.data > 1e-9
 S = tot.Tensor(np.where(pattern, 0.5 + rng.random(pattern.shape), 0.0))
-cfg = tot.SinkhornConfig(epsilon=0.05, variant="support")
+cfg = tot.SinkhornConfig(epsilon=0.05)
 sparse_scaled, _, sparse_trace = tot.sinkhorn_scale(S, P, cfg)
 print(f"support variant: {int(pattern.sum())}/{pattern.size} cells, "
       f"k_stop={sparse_trace.k_stop}, "

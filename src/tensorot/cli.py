@@ -80,11 +80,11 @@ def _cmd_approx(args) -> int:
 def _cmd_scale(args) -> int:
     A = load_tensor(args.tensor)
     P = load_marginals(args.marginals)
-    cfg = SinkhornConfig(
-        epsilon=args.epsilon,
-        variant="support" if args.nonnegative else "positive",
-    )
-    scaled, _, trace = sinkhorn_scale(A, P, cfg)
+    # zeros need --nonnegative; the scaling itself follows the tensor
+    if not (args.nonnegative or A.data.min() > 0):
+        raise ContractViolation("scale needs a strictly positive tensor; "
+                                "pass --nonnegative for a tensor with zeros")
+    scaled, _, trace = sinkhorn_scale(A, P, SinkhornConfig(epsilon=args.epsilon))
     if args.trace:
         trace.write_jsonl(args.trace)
     _emit({
@@ -93,7 +93,7 @@ def _cmd_scale(args) -> int:
         "eta": trace.eta,
         "mass": trace.mass,
         "epsilon": args.epsilon,
-        "variant": cfg.variant,
+        "variant": "support" if args.nonnegative else "positive",
         "plan_file": _save_plan(scaled, args.plan_out),
     })
     return 0

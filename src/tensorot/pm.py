@@ -22,8 +22,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .scaling import _line_residuals, _svd_bases, kl_divergence, mode_orthogonal_blocks
-from .tensor import MarginalFamily, Tensor, _fsum, all_marginals, apply_scaling, marginal
+from .scaling import (_line_residuals, _svd_bases, kl_divergence, log_marginal_fit,
+                      mode_orthogonal_blocks)
+from .tensor import MarginalFamily, Tensor, _fsum, all_marginals, apply_scaling
 
 __all__ = [
     "PmProblem",
@@ -41,6 +42,12 @@ __all__ = [
     "scaling_block_minimizer",
     "g_sublevel_params",
 ]
+
+# Random perturbations, and their scale, in the sublevel sweep of g_sublevel_params.
+_SUBLEVEL_SAMPLES = 100
+_SUBLEVEL_SPREAD = 0.5
+# Rounding allowance in each inequality checked by projection_kl_bounds.
+_KL_SLACK = 1e-12
 
 # ---------------------------------------------------------------------------
 # the scaling potential and its derivatives
@@ -308,14 +315,10 @@ def scaling_block_minimizer(A: Tensor, P: MarginalFamily):
     z = log p_j - log marginal_j(A(Y)).
     """
     d, n = P.d, P.n
-    log_p = np.log(P.p)
 
     def minimize(x: np.ndarray, j: int) -> np.ndarray:
         Y = np.asarray(x, dtype=float).reshape(d, n)
-        s = marginal(apply_scaling(A, Y), j)
-        if np.any(s <= 0):
-            raise ContractViolation(f"mode {j} marginal vanished during block minimization")
-        z = log_p[j] - np.log(s)
+        z = log_marginal_fit(apply_scaling(A, Y), P.p[j], j)
         step_j = z - float(P.p[j] @ z) * np.ones(n) / P.h
         step = np.zeros(d * n)
         step[j * n:(j + 1) * n] = step_j
@@ -328,16 +331,14 @@ def g_sublevel_params(
     A: Tensor,
     P: MarginalFamily,
     iterates: Sequence[np.ndarray],
-    s: float = 1.0,
     rng: Optional[np.random.Generator] = None,
-    samples: int = 100,
-    spread: float = 0.5,
 ) -> RateParams:
     """Hessian range over a sampled sweep of the starting sublevel set.
 
-    Samples the run's own iterates, their midpoints, and random
-    block-orthogonal perturbations kept inside {g <= g(x0)}, and returns
-    the aggregated eigenvalue bracket.
+    Samples the run's own iterates, their midpoints, and
+    ``_SUBLEVEL_SAMPLES`` random block-orthogonal perturbations of scale
+    ``_SUBLEVEL_SPREAD`` kept inside {g <= g(x0)}, and returns the
+    aggregated eigenvalue bracket for the l1 selection norm (s = 1).
     """
     rng = rng or np.random.default_rng(0)
     d, n = P.d, P.n
@@ -347,15 +348,15 @@ def g_sublevel_params(
         cands.append(0.5 * (a + b))
     t0 = g_value(A, P, pts[0])
     p_sq = (P.p * P.p).sum(axis=1)
-    for _ in range(samples):
+    for _ in range(_SUBLEVEL_SAMPLES):
         base = pts[rng.integers(len(pts))]
         # keep the perturbation inside the per-mode orthogonal blocks
-        noise = _line_residuals(rng.normal(scale=spread, size=(d, n)), P.p, p_sq)
+        noise = _line_residuals(rng.normal(scale=_SUBLEVEL_SPREAD, size=(d, n)), P.p, p_sq)
         cand = base + noise
         if g_value(A, P, cand) <= t0 * (1 + 1e-12) + 1e-12:
             cands.append(cand)
     alphas, betas = zip(*(hessian_bounds(A, Y) for Y in cands))
-    return RateParams(alpha=min(alphas), beta=max(betas), ell=n - 1, s=s)
+    return RateParams(alpha=min(alphas), beta=max(betas), ell=n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +380,7 @@ class ProjectionKlBounds:
         return self.scale_gap_ok and self.halving_ok and self.pinsker_ok
 
 
-def projection_kl_bounds(p, q, slack: float = 1e-12) -> ProjectionKlBounds:
+def projection_kl_bounds(p, q) -> ProjectionKlBounds:
     """Evaluate the projection-residual estimates for simplex vectors p, q.
 
     p must be strictly positive; q may touch the boundary (the KL bound is
@@ -401,7 +402,7 @@ def projection_kl_bounds(p, q, slack: float = 1e-12) -> ProjectionKlBounds:
         residual_l1=residual,
         l1_gap=l1_gap,
         kl=kl,
-        scale_gap_ok=abs(1.0 - scale) <= residual + slack,
-        halving_ok=2.0 * residual + slack >= l1_gap,
-        pinsker_ok=residual <= (math.sqrt(n) + 1.0) * math.sqrt(2.0 * kl) + slack,
+        scale_gap_ok=abs(1.0 - scale) <= residual + _KL_SLACK,
+        halving_ok=2.0 * residual + _KL_SLACK >= l1_gap,
+        pinsker_ok=residual <= (math.sqrt(n) + 1.0) * math.sqrt(2.0 * kl) + _KL_SLACK,
     )

@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 _ATOL = 1e-12
+# l1 gap allowed between the middle marginals of two plans being glued
+_GLUE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -101,29 +103,29 @@ def _triangle_slack(D: np.ndarray) -> np.ndarray:
     return best - D
 
 
-def check_distance_matrix(D, tol: float = _ATOL) -> DistanceCheck:
+def check_distance_matrix(D) -> DistanceCheck:
     """Zero diagonal, symmetry, positive off-diagonal, all triangle inequalities."""
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValueError("expected a square matrix")
     size = D.shape[0]
     diag = np.abs(np.diag(D))
-    if diag.max(initial=0.0) > tol:
+    if diag.max(initial=0.0) > _ATOL:
         i = int(np.argmax(diag))
         return DistanceCheck(False, f"nonzero self-distance at index {i}: {float(D[i, i])!r}")
     asym = np.abs(D - D.T)
-    if asym.max(initial=0.0) > tol:
+    if asym.max(initial=0.0) > _ATOL:
         i, j = np.unravel_index(np.argmax(asym), D.shape)
         return DistanceCheck(
             False, f"asymmetry at ({i}, {j}): {float(D[i, j])!r} vs {float(D[j, i])!r}")
     off = ~np.eye(size, dtype=bool)
-    if size > 1 and D[off].min() <= tol:
+    if size > 1 and D[off].min() <= _ATOL:
         flat = np.where(off, D, np.inf)
         i, j = np.unravel_index(np.argmin(flat), D.shape)
         return DistanceCheck(False, f"nonpositive off-diagonal at ({i}, {j}): {float(D[i, j])!r}")
     # d(i,j) <= d(i,k) + d(k,j) for every triple
     slack = _triangle_slack(D)
-    if slack.min() < -tol:
+    if slack.min() < -_ATOL:
         i, j = np.unravel_index(np.argmin(slack), D.shape)
         k = int(np.argmin(D[i] + D[j]))
         return DistanceCheck(
@@ -144,7 +146,7 @@ def _same_multiset(n: int, half: int) -> np.ndarray:
     return keys[:, None] == keys[None, :]
 
 
-def check_multiset_distance(C: Tensor, tol: float = _ATOL) -> DistanceCheck:
+def check_multiset_distance(C: Tensor) -> DistanceCheck:
     """Multiset-style distance axioms: zero exactly on equal index
     multisets, positive otherwise, symmetric, all triangle inequalities.
 
@@ -156,26 +158,26 @@ def check_multiset_distance(C: Tensor, tol: float = _ATOL) -> DistanceCheck:
     D = matricize(C)
     size = D.shape[0]
     same = _same_multiset(C.n, half)
-    if np.abs(D[same]).max(initial=0.0) > tol:
+    if np.abs(D[same]).max(initial=0.0) > _ATOL:
         flat = np.where(same, np.abs(D), -np.inf)
         i, j = np.unravel_index(np.argmax(flat), D.shape)
         return DistanceCheck(False, f"nonzero cost on equal multisets at ({i}, {j})")
-    if size > 1 and np.any(D[~same] <= tol):
+    if size > 1 and np.any(D[~same] <= _ATOL):
         flat = np.where(~same, D, np.inf)
         i, j = np.unravel_index(np.argmin(flat), D.shape)
         return DistanceCheck(False, f"nonpositive cost on distinct multisets at ({i}, {j})")
     asym = np.abs(D - D.T)
-    if asym.max(initial=0.0) > tol:
+    if asym.max(initial=0.0) > _ATOL:
         i, j = np.unravel_index(np.argmax(asym), D.shape)
         return DistanceCheck(False, f"asymmetry at ({i}, {j})")
     slack = _triangle_slack(D)
-    if slack.min() < -tol:
+    if slack.min() < -_ATOL:
         i, j = np.unravel_index(np.argmin(slack), D.shape)
         return DistanceCheck(False, f"triangle violation between tuples {i} and {j}")
     return DistanceCheck(True, None)
 
 
-def check_bisymmetric(C: Tensor, tol: float = _ATOL) -> tuple[bool, bool]:
+def check_bisymmetric(C: Tensor) -> tuple[bool, bool]:
     """(fully bisymmetric, weakly bisymmetric) flags of an even-order tensor.
 
     Fully: invariant under independent permutations inside each index half
@@ -187,7 +189,7 @@ def check_bisymmetric(C: Tensor, tol: float = _ATOL) -> tuple[bool, bool]:
     front = list(range(half))
     back = list(range(half, 2 * half))
     swapped = np.transpose(data, back + front)
-    if not np.allclose(data, swapped, rtol=0.0, atol=tol):
+    if not np.allclose(data, swapped, rtol=0.0, atol=_ATOL):
         return False, False
     weak = True
     full = True
@@ -196,23 +198,23 @@ def check_bisymmetric(C: Tensor, tol: float = _ATOL) -> tuple[bool, bool]:
             continue
         perm_front = [perm[i] for i in range(half)] + back
         perm_back = front + [half + perm[i] for i in range(half)]
-        front_ok = np.allclose(data, np.transpose(data, perm_front), rtol=0.0, atol=tol)
-        back_ok = np.allclose(data, np.transpose(data, perm_back), rtol=0.0, atol=tol)
+        front_ok = np.allclose(data, np.transpose(data, perm_front), rtol=0.0, atol=_ATOL)
+        back_ok = np.allclose(data, np.transpose(data, perm_back), rtol=0.0, atol=_ATOL)
         if not (front_ok and back_ok):
             full = False
         both = [perm[i] for i in range(half)] + [half + perm[i] for i in range(half)]
-        if not np.allclose(data, np.transpose(data, both), rtol=0.0, atol=tol):
+        if not np.allclose(data, np.transpose(data, both), rtol=0.0, atol=_ATOL):
             weak = False
             break
     weak = weak or full
     return full, weak
 
 
-def cost_profile(C: Tensor, tol: float = _ATOL) -> CostTensorProfile:
+def cost_profile(C: Tensor) -> CostTensorProfile:
     """Run every validator once and collect the verified flags."""
-    full, weak = check_bisymmetric(C, tol=tol)
-    check = check_distance_matrix(matricize(C), tol=tol)
-    multiset = check_multiset_distance(C, tol=tol)
+    full, weak = check_bisymmetric(C)
+    check = check_distance_matrix(matricize(C))
+    multiset = check_multiset_distance(C)
     return CostTensorProfile(distance_matrix=check.ok, multiset_distance=multiset.ok,
                              bisymmetric=full, weak_bisymmetric=weak,
                              violation=check.violation)
@@ -269,7 +271,6 @@ def pair_distance(
     right,
     solver: str = "exact",
     delta: Optional[float] = None,
-    cap: Optional[int] = None,
 ) -> float:
     """Transport value between two ordered lists of d/2 measures."""
     half = _half(C)
@@ -278,7 +279,7 @@ def pair_distance(
     family = MarginalFamily(np.vstack([left, right]))
     family.require_probability()
     if solver == "exact":
-        return solve_exact_tot(C, family, cap=cap).value
+        return solve_exact_tot(C, family).value
     if solver == "entropic":
         if delta is None:
             raise ValueError("the entropic solver needs a delta target")
@@ -287,7 +288,7 @@ def pair_distance(
     raise ValueError("solver must be 'exact' or 'entropic'")
 
 
-def glue(U: Tensor, V: Tensor, tol: float = 1e-8) -> Tensor:
+def glue(U: Tensor, V: Tensor) -> Tensor:
     """Compose two plans sharing their middle marginals into one joint plan.
 
     U couples blocks (front, middle) and V couples (middle, back); the
@@ -305,7 +306,7 @@ def glue(U: Tensor, V: Tensor, tol: float = 1e-8) -> Tensor:
     mid_u = u_mat.sum(axis=0)
     mid_v = v_mat.sum(axis=1)
     gap = float(np.abs(mid_u - mid_v).sum())
-    if gap > tol:
+    if gap > _GLUE_TOL:
         raise ValueError(
             f"middle marginals of the two plans disagree (l1 gap {gap:.3e})"
         )
@@ -323,9 +324,9 @@ def contract_middle(W: Tensor, half: int) -> Tensor:
     return Tensor._adopt(W.data.sum(axis=axes))
 
 
-def _multisets_equal(left: np.ndarray, right: np.ndarray, tol: float = 1e-12) -> bool:
+def _multisets_equal(left: np.ndarray, right: np.ndarray) -> bool:
     for perm in itertools.permutations(range(left.shape[0])):
-        if all(np.allclose(left[i], right[perm[i]], rtol=0.0, atol=tol)
+        if all(np.allclose(left[i], right[perm[i]], rtol=0.0, atol=_ATOL)
                for i in range(left.shape[0])):
             return True
     return False
@@ -337,7 +338,6 @@ def set_distance(
     right,
     solver: str = "exact",
     delta: Optional[float] = None,
-    cap: Optional[int] = None,
 ) -> SetDistanceResult:
     """Distance between two lists of d/2 measures, free of their common order.
 
@@ -357,7 +357,7 @@ def set_distance(
     left = _as_measure_list(left, C.n, half, "left measures")
     right = _as_measure_list(right, C.n, half, "right measures")
     return SetDistanceResult(
-        distance=pair_distance(C, left, right, solver=solver, delta=delta, cap=cap),
+        distance=pair_distance(C, left, right, solver=solver, delta=delta),
         best_permutation=tuple(range(half)),
         profile=profile,
         multisets_equal=_multisets_equal(left, right),

@@ -155,17 +155,17 @@ class Tensor:
     def is_nonnegative(self) -> bool:
         return bool(np.all(self.data >= 0))
 
-    def is_probability(self, tol: float = MASS_RTOL) -> bool:
-        return self.is_nonnegative() and abs(_fsum(self.data) - 1.0) <= tol
+    def is_probability(self) -> bool:
+        return self.is_nonnegative() and abs(_fsum(self.data) - 1.0) <= MASS_RTOL
 
     def require_nonnegative(self, what: str = "tensor") -> None:
         if not self.is_nonnegative():
             raise ContractViolation(f"{what} must be entrywise nonnegative")
 
-    def require_probability(self, what: str = "tensor", tol: float = MASS_RTOL) -> None:
+    def require_probability(self, what: str = "tensor") -> None:
         self.require_nonnegative(what)
         mass = _fsum(self.data)
-        if abs(mass - 1.0) > tol:
+        if abs(mass - 1.0) > MASS_RTOL:
             raise ContractViolation(f"{what} must have unit mass, got {mass!r}")
 
     def min_positive(self) -> float:
@@ -228,8 +228,8 @@ class MarginalFamily:
         """Common l1 mass of the marginal vectors."""
         return _fsum(self.p[0])
 
-    def is_probability(self, tol: float = MASS_RTOL) -> bool:
-        return abs(self.h - 1.0) <= tol
+    def is_probability(self) -> bool:
+        return abs(self.h - 1.0) <= MASS_RTOL
 
     def require_probability(self) -> None:
         if not self.is_probability():
@@ -373,7 +373,8 @@ def exp_neg_scaled(C: Tensor, rate: float) -> Tensor:
     """Entrywise exp(-rate * c), shifting C to min 0 before exponentiating.
 
     The shift is restored as a single scalar factor, so the result equals
-    exp(-rate*C) while the array exponentiation stays in (0, 1].
+    exp(-rate*C) while the array exponentiation stays in (0, 1].  A result
+    that overflows, or underflows to 0 anywhere, raises ContractViolation.
     """
     if not rate > 0:
         raise ContractViolation("rate must be positive")
@@ -384,6 +385,8 @@ def exp_neg_scaled(C: Tensor, rate: float) -> Tensor:
             out *= math.exp(-rate * low)
         except OverflowError:
             raise ContractViolation("exp(-rate * C) overflows") from None
+    if not out.min() > 0:
+        raise ContractViolation("exp(-rate * C) underflows to 0")
     return Tensor._adopt(out)
 
 

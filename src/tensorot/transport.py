@@ -76,7 +76,6 @@ class TotCertificate:
 
     value: float  # <C, B> for the returned feasible plan
     bracket_low: float  # certified lower bound on the LP optimum
-    bracket_high: float  # value
     delta: float
     lam: Optional[float]
     epsilon: Optional[float]
@@ -89,8 +88,12 @@ class TotCertificate:
     stop: str  # "certified" or "residual"; not in as_dict
 
     def __post_init__(self):
-        if self.bracket_low > self.bracket_high:
+        if self.bracket_low > self.value:
             raise ValueError("certificate bracket is inverted")
+
+    @property
+    def bracket_high(self) -> float:
+        return self.value
 
     @property
     def bracket(self) -> tuple[float, float]:
@@ -108,17 +111,10 @@ class TotCertificate:
         }
 
 
-def entropic_tot(
-    C: Tensor,
-    P: MarginalFamily,
-    lam: float,
-    epsilon: float,
-    max_iter: Optional[int] = None,
-) -> EntropicResult:
+def entropic_tot(C: Tensor, P: MarginalFamily, lam: float, epsilon: float) -> EntropicResult:
     """Scale exp(-lam*C) toward the polytope and report the stopped iterate."""
     kernel = exp_neg_scaled(C, lam)
-    cfg = SinkhornConfig(epsilon=epsilon, max_iter=max_iter)
-    plan, scaling, trace = sinkhorn_scale(kernel, P, cfg)
+    plan, scaling, trace = sinkhorn_scale(kernel, P, SinkhornConfig(epsilon=epsilon))
     cost = inner(C, plan)
     ent = entropy(plan)
     return EntropicResult(plan=plan, cost=cost, entropy=ent,
@@ -180,11 +176,10 @@ def approx_tot(
         plan = outer(list(P.p))
         value = inner(C, plan)
         if trace_out is not None:
-            empty = SinkhornTrace(epsilon=0.25, variant="positive", k_stop=0,
-                                  bound=0.0, eta=None, mass=None)
+            empty = SinkhornTrace(epsilon=0.25, k_stop=0, bound=0.0, eta=None, mass=None)
             empty.write_jsonl(trace_out)
         cert = TotCertificate(
-            value=value, bracket_low=value, bracket_high=value,
+            value=value, bracket_low=value,
             delta=delta, lam=None, epsilon=None, k_stop=0,
             movement_l1=0.0, omega=0.0, eta=None, shift=shift,
             theoretical_error=0.0, stop="certified")
@@ -226,7 +221,7 @@ def approx_tot(
     plan, low, value = certified[0] if certified else bracket(iterate, X)
     cert = TotCertificate(
         # low <= OPT <= value; at an optimal plan rounding can put low an ulp above
-        value=value, bracket_low=min(low, value), bracket_high=value,
+        value=value, bracket_low=min(low, value),
         delta=delta, lam=lam_eff, epsilon=eps_eff,
         k_stop=trace.k_stop, movement_l1=l1_distance(plan, iterate),
         omega=omega, eta=trace.eta, shift=shift,

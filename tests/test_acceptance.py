@@ -34,7 +34,6 @@ from tensorot import (
     scaling_block_minimizer,
     sinkhorn_scale,
     solve_exact_tot,
-    support_subspaces,
 )
 
 from conftest import max_marginal_gap, random_marginals
@@ -251,9 +250,7 @@ def test_criterion_10_support_variant():
         vertex = solve_exact_tot(Tensor(rng.random((n,) * d)), P).plan
         pattern = vertex.data > 1e-9
         A = Tensor(np.where(pattern, 0.5 + rng.random(pattern.shape), 0.0))
-        bases = support_subspaces(A, P)
-        scaled, X, trace = sinkhorn_scale(
-            A, P, SinkhornConfig(epsilon=eps, variant="support"), bases=bases)
+        scaled, X, trace = sinkhorn_scale(A, P, SinkhornConfig(epsilon=eps))
         gap = max_marginal_gap(scaled, P)
         ok = ok and gap < 2 * eps and trace.k_stop <= trace.bound
         ok = ok and np.array_equal(scaled.data == 0, A.data == 0)

@@ -127,6 +127,18 @@ class TestScaleAndRound:
         assert code == 0
         assert payload["variant"] == "support"
 
+    def test_nonnegative_flag_on_a_positive_tensor(self, tmp_path, rng, capsys):
+        # the flag admits zeros; on a positive tensor it changes only "variant"
+        save_tensor(Tensor(0.5 + rng.random((3, 3))), tmp_path / "a.json")
+        save_marginals(random_marginals(rng, 2, 3), tmp_path / "p.json")
+        argv = ["scale", "--tensor", str(tmp_path / "a.json"),
+                "--marginals", str(tmp_path / "p.json"), "--epsilon", "0.01"]
+        _, plain = run_json(capsys, argv)
+        code, flagged = run_json(capsys, argv + ["--nonnegative"])
+        assert code == 0
+        assert (plain.pop("variant"), flagged.pop("variant")) == ("positive", "support")
+        assert plain == flagged
+
     def test_round(self, tmp_path, rng, capsys):
         F = Tensor(0.1 + rng.random((3, 3)))
         F = Tensor(F.data / F.data.sum() * 1.1)
@@ -249,7 +261,7 @@ class TestExitCodes:
         assert code == 1
 
     def test_contract_violation_is_two(self, tmp_path, rng, capsys):
-        # zeros in the tensor break the positive-variant contract
+        # scale admits zeros only with --nonnegative
         save_tensor(Tensor([[1.0, 0.0], [0.0, 1.0]]), tmp_path / "a.json")
         save_marginals(MarginalFamily([[0.5, 0.5], [0.5, 0.5]]), tmp_path / "p.json")
         code = run(["scale", "--tensor", str(tmp_path / "a.json"),
@@ -372,9 +384,11 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize("form, epsilon", [
         ("scale", "1e-200"), ("scale", "1e-160"), ("scale-nonnegative", "1e-200"),
-        ("solve-entropic", "1e-200"), ("approx", "1e-200")])
+        ("solve-entropic", "1e-200"), ("approx", "1e-200"),
+        ("scale", "1e-16"), ("scale", "1e-150"), ("approx", "1e-16")])
     def test_epsilon_without_a_finite_bound_is_two(self, tmp_path, capsys, form, epsilon):
-        # epsilon**2 underflows (1e-200) or the bound overflows (1e-160);
+        # epsilon**2 underflows (1e-200), the bound overflows (1e-160), or
+        # the l1 residual cannot fall below epsilon in float arithmetic;
         # the same forms exit 0 at their usual epsilon on this input
         argv = list(_FORMS[form])
         if "--epsilon" in argv:

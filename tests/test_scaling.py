@@ -97,6 +97,17 @@ class TestSelectMode:
         A = ones_tensor(2, 2)
         assert select_mode(A, uniform_family(2, 2)) == 0
 
+    def test_a_tensor_with_zeros_is_measured_on_its_support(self):
+        # the zeros alone make select_mode leave the degenerate directions out
+        differs = 0
+        for kind, A, P in _support_patterns():
+            p_sq = (P.p * P.p).sum(axis=1)
+            with_bases, without = (scaling._residual_norms(all_marginals(A), P, b, p_sq)
+                                   for b in (support_subspaces(A, P), None))
+            assert select_mode(A, P) == int(np.argmax(with_bases)), kind
+            differs += int(np.argmax(with_bases)) != int(np.argmax(without))
+        assert differs >= 10
+
 
 class TestKlDivergence:
     def test_zero_on_equal(self, rng):
@@ -140,9 +151,19 @@ class TestSinkhornPositive:
         with pytest.raises(ContractViolation):
             sinkhorn_scale(A, P, SinkhornConfig(epsilon=0.1))
 
-    def test_rejects_zeros_in_positive_variant(self, rng):
+    def test_scales_a_tensor_with_zeros(self):
+        # the zero selects the support-aware path: eta is the smallest
+        # positive entry and the zero stays exactly zero
         A = Tensor([[1.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(ContractViolation):
+        P = uniform_family(2, 2)
+        scaled, _, trace = sinkhorn_scale(A, P, SinkhornConfig(epsilon=0.1))
+        assert trace.stop == "residual" and trace.eta == 1.0
+        assert scaled.data[0, 1] == 0.0
+        assert max_marginal_gap(scaled, P) < 0.2
+
+    def test_rejects_negative_input(self):
+        A = Tensor([[1.0, -0.5], [1.0, 1.0]])
+        with pytest.raises(ContractViolation, match="nonnegative"):
             sinkhorn_scale(A, uniform_family(2, 2), SinkhornConfig(epsilon=0.1))
 
     def test_rejects_nan_input(self, rng):
@@ -153,10 +174,11 @@ class TestSinkhornPositive:
 
     @pytest.mark.parametrize("variant", ["positive", "support"])
     def test_rejects_an_overflowing_mass(self, variant):
-        A = Tensor(np.full((3, 3), 1e308))
-        cfg = SinkhornConfig(epsilon=0.1, variant=variant)
+        data = np.full((3, 3), 1e308)
+        if variant == "support":
+            data[0, 1] = 0.0
         with pytest.raises(ContractViolation, match="overflows"):
-            sinkhorn_scale(A, uniform_family(2, 3), cfg)
+            sinkhorn_scale(Tensor(data), uniform_family(2, 3), SinkhornConfig(epsilon=0.1))
 
     def test_bound_with_a_subnormal_eta(self):
         # mass/eta overflows, its logarithm does not
@@ -181,7 +203,7 @@ class TestSinkhornPositive:
         # 0 * inf has no value either
         with pytest.raises(ContractViolation):
             iteration_bound(1, 1e-160, 1.0, 1.0)
-        # a finite bound whose step cap 4 * bound overflows
+        # a finite bound, but an epsilon below the floor the residual can reach
         with pytest.raises(ContractViolation, match="too small"):
             sinkhorn_scale(Tensor(np.full((3, 3), 0.5)), uniform_family(2, 3),
                            SinkhornConfig(epsilon=5e-154))
@@ -448,7 +470,8 @@ class TestIncrementalStep:
             assert np.any(A.data == 0)
         else:
             A, P = random_positive_tensor(rng, d, n), random_marginals(rng, d, n)
-        scaled, X, trace = sinkhorn_scale(A, P, SinkhornConfig(epsilon=1e-3, variant=variant))
+            assert A.data.all()
+        scaled, X, trace = sinkhorn_scale(A, P, SinkhornConfig(epsilon=1e-3))
         assert trace.k_stop > 0
         A0 = Tensor(A.data / l1_norm(A))
         assert np.array_equal(apply_scaling(A0, X).data, scaled.data)
@@ -489,7 +512,7 @@ class TestIncrementalStep:
 
         monkeypatch.setattr(scaling, "_marginals", spy_marginals)
         monkeypatch.setattr(scaling, "IterationRecord", spy_record)
-        _, _, trace = sinkhorn_scale(A, P, SinkhornConfig(epsilon=1e-6, variant=variant))
+        _, _, trace = sinkhorn_scale(A, P, SinkhornConfig(epsilon=1e-6))
         steps = 0
         for event in events:
             if isinstance(event, np.ndarray):
@@ -766,38 +789,60 @@ class TestSinkhornSupportVariant:
     def test_reaches_marginal_guarantee(self, rng):
         A, P = self._supported_instance(rng, 3, 3)
         eps = 0.1
-        cfg = SinkhornConfig(epsilon=eps, variant="support")
+        cfg = SinkhornConfig(epsilon=eps)
         scaled, X, trace = sinkhorn_scale(A, P, cfg)
         assert max_marginal_gap(scaled, P) < 2 * eps
         assert trace.k_stop <= trace.bound
 
     def test_zero_pattern_preserved(self, rng):
         A, P = self._supported_instance(rng, 2, 4)
-        cfg = SinkhornConfig(epsilon=0.05, variant="support")
+        cfg = SinkhornConfig(epsilon=0.05)
         scaled, _, _ = sinkhorn_scale(A, P, cfg)
         assert np.array_equal(scaled.data == 0, A.data == 0)
 
     def test_zero_slice_is_refused(self):
         A = Tensor([[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(DegenerateSliceError, match="mode 0"):
-            sinkhorn_scale(A, uniform_family(2, 2), SinkhornConfig(epsilon=0.1, variant="support"))
+            sinkhorn_scale(A, uniform_family(2, 2), SinkhornConfig(epsilon=0.1))
 
-    def test_positive_tensor_matches_positive_variant(self):
-        # a full support has no degenerate part, so both variants run the
-        # same residual code and the same steps
+    def test_positive_tensor_matches_positive_variant(self, monkeypatch):
+        # a full support has no degenerate part, so its bases measure every
+        # marginal of a run exactly as the positive path does without them
+        seen, real = [], scaling._marginals
+
+        def spy(a):
+            seen.append(real(a))
+            return seen[-1]
+
+        monkeypatch.setattr(scaling, "_marginals", spy)
         for seed in range(4):
             for d in (2, 3, 4):
                 rng = np.random.default_rng(seed)
                 A, P = random_positive_tensor(rng, d, 3), random_marginals(rng, d, 3)
-                assert support_subspaces(A, P).dim_degenerate == 0
-                runs = [sinkhorn_scale(A, P, SinkhornConfig(epsilon=0.01, variant=v))
-                        for v in ("positive", "support")]
-                (it_pos, X_pos, tr_pos), (it_sup, X_sup, tr_sup) = runs
-                assert tr_pos.k_stop == tr_sup.k_stop
-                assert tr_pos.modes == tr_sup.modes
-                assert np.array_equal(tr_pos.residuals, tr_sup.residuals)
-                assert X_pos.tobytes() == X_sup.tobytes()
-                assert it_pos.data.tobytes() == it_sup.data.tobytes()
+                bases = support_subspaces(A, P)
+                assert bases.dim_degenerate == 0
+                seen.clear()
+                _, _, trace = sinkhorn_scale(A, P, SinkhornConfig(epsilon=0.01))
+                assert trace.k_stop > 0 and trace.eta == A.data.min()
+                p_sq = (P.p * P.p).sum(axis=1)
+                for S in seen:
+                    with_bases, without = (scaling._residual_norms(S, P, b, p_sq)
+                                           for b in (bases, None))
+                    assert with_bases.tobytes() == without.tobytes()
+
+    def test_the_input_decides_the_path(self, rng, monkeypatch):
+        real, calls = scaling.support_subspaces, []
+
+        def spy(A, P):
+            calls.append(A)
+            return real(A, P)
+
+        monkeypatch.setattr(scaling, "support_subspaces", spy)
+        A, P = _with_zeros(rng, 3, 4)
+        sinkhorn_scale(A, P, SinkhornConfig(epsilon=0.01))
+        assert len(calls) == 1 and calls[0] is A
+        sinkhorn_scale(random_positive_tensor(rng, 3, 4), P, SinkhornConfig(epsilon=0.01))
+        assert len(calls) == 1
 
 
 class TestConfig:
@@ -807,6 +852,16 @@ class TestConfig:
         with pytest.raises(ContractViolation):
             SinkhornConfig(epsilon=0.0)
 
-    def test_variant_name(self):
-        with pytest.raises(ValueError):
-            SinkhornConfig(epsilon=0.1, variant="negative")
+    def test_epsilon_floor(self):
+        with pytest.raises(ContractViolation, match="too small"):
+            SinkhornConfig(epsilon=scaling._EPSILON_FLOOR / 2)
+        assert SinkhornConfig(epsilon=scaling._EPSILON_FLOOR).epsilon == scaling._EPSILON_FLOOR
+
+    @pytest.mark.parametrize("d, n", [(2, 2), (3, 6), (2, 100)])
+    def test_a_run_reaches_the_floor(self, d, n):
+        # the floor sits well above the residual's float-rounding level
+        rng = np.random.default_rng(d * n)
+        A = exp_neg_scaled(random_cost(rng, d, n), 5.0)
+        P = random_marginals(rng, d, n)
+        _, _, trace = sinkhorn_scale(A, P, SinkhornConfig(epsilon=scaling._EPSILON_FLOOR))
+        assert trace.stop == "residual" and trace.residuals[-1] < scaling._EPSILON_FLOOR

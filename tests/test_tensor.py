@@ -412,6 +412,11 @@ class TestExpNegScaled:
         with pytest.raises(ContractViolation):
             exp_neg_scaled(ones_tensor(2, 2), 0.0)
 
+    def test_rejects_an_underflowing_kernel(self):
+        # exp(-1000) is 0 in floating point: no kernel entry may vanish
+        with pytest.raises(ContractViolation, match="underflows"):
+            exp_neg_scaled(Tensor([[0.0, 1.0], [1.0, 0.0]]), 1000.0)
+
     def test_rejects_an_overflowing_kernel(self):
         # exp(1000) is past the float range
         with pytest.raises(ContractViolation, match="overflows"):

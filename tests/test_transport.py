@@ -1,5 +1,6 @@
 """Entropic relaxation and the delta-approximation pipeline."""
 
+import dataclasses
 import json
 import math
 
@@ -166,6 +167,22 @@ class TestApproxTot:
         tau = solve_exact_tot(C, P).value
         assert tau - 1e-12 <= cert.value <= tau + 0.02
         assert max_marginal_gap(B, P, ord=np.inf) <= 1e-10
+
+    def test_rejects_an_underflowing_kernel(self):
+        # exp(-1000) is 0 in floating point: the scaling would keep those
+        # cells at zero, which no entropic plan does
+        from tensorot import ContractViolation
+
+        with pytest.raises(ContractViolation, match="underflows"):
+            approx_tot(swap_cost(), uniform_family(2, 2), delta=0.1, lam=1000.0)
+        with pytest.raises(ContractViolation, match="underflows"):
+            entropic_tot(swap_cost(), uniform_family(2, 2), lam=1000.0, epsilon=0.1)
+
+    def test_bracket_high_is_the_value(self, rng):
+        _, cert = approx_tot(random_cost(rng, 2, 3), random_marginals(rng, 2, 3), delta=0.1)
+        assert cert.bracket == (cert.bracket_low, cert.value)
+        with pytest.raises(ValueError, match="inverted"):
+            dataclasses.replace(cert, bracket_low=cert.value + 1.0)
 
     @pytest.mark.parametrize("epsilon", [None, 0.1])
     def test_rejects_a_cost_spread_past_the_float_range(self, epsilon):
