@@ -3,7 +3,10 @@
 Tensor files look like ``{"d": 2, "n": 2, "data": [...]}`` with the data
 row-major (first index slowest); marginal files look like
 ``{"p": [[...], [...]]}``.  ``d`` and ``n`` are JSON integers and every
-entry a JSON number; other types raise :class:`FileFormatError`.  Floats
+entry a JSON number; other types raise :class:`FileFormatError`.  Values
+of the right type that break a contract of ``Tensor`` or
+``MarginalFamily`` (a NaN, a weight that is not positive, unequal masses)
+raise their ``ContractViolation``.  Floats
 are written with Python's shortest round-trip representation, so
 save/load is bit-stable.
 """
@@ -12,7 +15,6 @@ from __future__ import annotations
 
 import json
 
-from .errors import ContractViolation
 from .tensor import MarginalFamily, Tensor
 
 __all__ = ["FileFormatError", "load_tensor", "save_tensor", "load_marginals", "save_marginals"]
@@ -73,7 +75,7 @@ def load_marginals(path) -> MarginalFamily:
         raise FileFormatError(f"{path}: field 'p' must hold lists of numbers")
     try:
         return MarginalFamily.from_dict(obj)
-    except (TypeError, ValueError, OverflowError, ContractViolation) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{path}: field 'p' is malformed ({exc})") from exc
 
 

@@ -11,7 +11,22 @@ Artificial r starts as sign(b_r) e_r, so no row is negated, and the
 duals c_B B^-1 belong to the system as given.  An artificial that
 phase 1 cannot drive out marks a redundant row and stays basic at zero.
 Pricing has one rule: Dantzig's, switching to Bland's after
-2*(rows+cols) pivots to rule out cycling.
+2*(rows+cols) pivots to rule out cycling.  ``iterations`` counts these
+priced pivots of phases 1 and 2; the unpriced pivots of a crash start and
+of driving artificials out are not counted.  The returned x_B is solved
+afresh from the final basis matrix, with values within a mass-relative
+tolerance of 0 set to 0, so that degenerate basics do not drift negative.
+
+``solve_exact_tot`` starts from a crash basis (Bixby, ORSA J. Computing
+1992): the cells of the greedy min-cost plan, which walks the cells by
+ascending cost and gives each the smallest marginal remainder of its
+indices, are pivoted one by one into the artificial row where B^-1 a is
+largest.  The plan is feasible, so the artificials the crash leaves are
+at zero, phase 1 is skipped, and phase 2 starts from a cheap vertex.  A
+start whose basic solution has a negative entry past rounding is dropped
+for the artificial basis, a safeguard no greedy start has needed in the
+instances tried.  Where costs tie, the optimal vertex (and the last digits of the
+value) can differ from the one the artificial start reaches.
 
 A dense A is read by slicing and a single-threaded product.
 ``solve_exact_tot`` never forms A: the column of a cell has a one in the
@@ -54,6 +69,13 @@ CAP_ENV_VAR = "TENSOROT_LP_CAP"
 
 _PIVOT_TOL = 1e-11
 _FEAS_TOL = 1e-9
+# An amount within this fraction of the mass counts as zero: a marginal
+# entry the greedy walk has used up, or a basic value left by rounding.
+_ZERO_RTOL = 1e-13
+# The greedy walk filters the sorted cells in chunks of doubling size up
+# to this many, so that Python only visits cells that are still live, and
+# the chunk's index arrays stay small next to the cost tensor.
+_WALK_CHUNK = 1024
 # The pivot tolerances are absolute, so phase 2 prices a cost far from unit
 # scale (the binary exponent of its largest magnitude beyond +-_COST_EXP)
 # scaled into [1/2, 1) by a power of two, which is exact.
@@ -93,7 +115,7 @@ def _pivot(Binv, x_B, basis, row: int, col: int, column) -> None:
     """Exchange basis[row] for col, where column is B^-1 A[:, col]."""
     pivot_row = Binv[row] / column[row]
     step = x_B[row] / column[row]
-    Binv -= np.outer(column, pivot_row)
+    Binv -= column[:, None] * pivot_row
     Binv[row] = pivot_row
     x_B -= step * column
     x_B[row] = step
@@ -135,6 +157,44 @@ def _choose_leaving(x_B, basis, column) -> Optional[int]:
     return int(ties[np.argmin(basis[ties])])
 
 
+def _basic_values(A, b, basis) -> np.ndarray:
+    """x_B solved afresh from the basis matrix, free of the drift of the
+    rank-one updates, with entries within ``_ZERO_RTOL`` of max |b| set to 0."""
+    m, ncols = A.shape
+    B = np.zeros((m, m))
+    for k, j in enumerate(basis):
+        if j < ncols:
+            B[:, k] = A.column(j)
+        else:
+            B[j - ncols, k] = -1.0 if b[j - ncols] < 0 else 1.0
+    x_B = np.linalg.solve(B, b)
+    x_B[np.abs(x_B) <= _ZERO_RTOL * np.abs(b).max(initial=0.0)] = 0.0
+    return x_B
+
+
+def _artificial_basis(b, ncols):
+    """Artificial r is sign(b_r) e_r, so the starting point x_B = |b| is feasible."""
+    return np.diag(np.where(b < 0, -1.0, 1.0)), np.abs(b), np.arange(ncols, ncols + b.size)
+
+
+def _crash_basis(A, b, start):
+    """The artificial basis with each start column pivoted into the
+    artificial row where B^-1 a is largest in magnitude, or None when the
+    resulting x_B has a negative entry.  A column whose entries in those
+    rows are all within ``_PIVOT_TOL`` of 0 is skipped."""
+    Binv, x_B, basis = _artificial_basis(b, A.shape[1])
+    for col in start:
+        rows = np.flatnonzero(basis >= A.shape[1])
+        if rows.size == 0:
+            break
+        column = Binv @ A.column(col)
+        row = rows[np.argmax(np.abs(column[rows]))]
+        if abs(column[row]) > _PIVOT_TOL:
+            _pivot(Binv, x_B, basis, row, col, column)
+    x_B = _basic_values(A, b, basis)
+    return (Binv, x_B, basis) if (x_B >= 0).all() else None
+
+
 def _run_phase(A, cost, Binv, x_B, basis) -> int:
     """Pivot from a feasible basis until no real column prices out."""
     m, ncols = A.shape
@@ -157,26 +217,27 @@ def _run_phase(A, cost, Binv, x_B, basis) -> int:
             raise SimplexError(f"simplex did not finish within {max_iter} pivots")
 
 
-def simplex_minimize(c, A_eq, b_eq) -> SimplexResult:
+def simplex_minimize(c, A_eq, b_eq, *, start=None) -> SimplexResult:
     """Minimize c @ x subject to A_eq @ x = b_eq, x >= 0.
 
     A_eq is a matrix, which is only read, or an implicit system with
     ``shape``, ``price(y)`` (y @ A_eq) and ``column(j)`` (A_eq[:, j]).
-    ``duals`` solves the dual of the system as given; it is None when
-    A_eq has a redundant row.
+    ``start`` lists columns to pivot into the all-artificial basis before
+    phase 1 (a crash start); those pivots are not priced, and a start
+    whose basic solution is not feasible is dropped.  ``iterations``
+    counts the priced pivots of phases 1 and 2 only.  ``duals`` solves the
+    dual of the system as given; it is None when A_eq has a redundant row.
     """
     A = A_eq if hasattr(A_eq, "price") else _DenseColumns(np.asarray(A_eq, dtype=float))
     b = np.asarray(b_eq, dtype=float)
     c = np.asarray(c, dtype=float)
     m, ncols = A.shape
-    # artificial r is sign(b_r) e_r, so the starting point x_B = |b| is feasible
-    Binv = np.diag(np.where(b < 0, -1.0, 1.0))
-    x_B = np.abs(b)
-    basis = np.arange(ncols, ncols + m)
+    crashed = None if start is None else _crash_basis(A, b, start)
+    Binv, x_B, basis = crashed or _artificial_basis(b, ncols)
 
-    # phase 1: minimize the artificial mass
+    # phase 1: minimize the artificial mass; a crash that left none is done
     cost = np.concatenate([np.zeros(ncols), np.ones(m)])
-    iters = _run_phase(A, cost, Binv, x_B, basis)
+    iters = _run_phase(A, cost, Binv, x_B, basis) if cost[basis] @ x_B > 0 else 0
     phase1 = float(cost[basis] @ x_B)
     if phase1 > _FEAS_TOL * max(1.0, float(np.abs(b).sum())):
         raise InfeasibleError(f"infeasible system (phase-1 mass {phase1:.3e})")
@@ -195,6 +256,7 @@ def simplex_minimize(c, A_eq, b_eq) -> SimplexResult:
     cost = np.concatenate([np.ldexp(c, -k), np.zeros(m)])
     iters += _run_phase(A, cost, Binv, x_B, basis)
 
+    x_B = _basic_values(A, b, basis)
     x = np.zeros(ncols)
     real = basis < ncols
     x[basis[real]] = x_B[real]
@@ -266,10 +328,15 @@ class _TransportColumns:
         return out.ravel()
 
     def column(self, cell):
-        index = np.array(np.unravel_index(cell, (self.n,) * self.d))
+        """A one in the mass row and in ``_mode_rows``' row of each index
+        below n-1, peeled off the flat cell from the last mode."""
         col = np.zeros(self.shape[0])
-        col[_mode_rows(np.arange(self.d), index, self.n)[0]] = 1.0
         col[-1] = 1.0
+        n = self.n
+        for j in reversed(range(self.d)):
+            cell, i = divmod(int(cell), n)
+            if i < n - 1:
+                col[j * (n - 1) + i] = 1.0
         return col
 
 
@@ -282,12 +349,51 @@ def transport_constraints(P: MarginalFamily):
     return _transport_system(P, np.arange(P.n**P.d), P.n**P.d)
 
 
+def _greedy_cells(C: np.ndarray, P: MarginalFamily) -> np.ndarray:
+    """Flat cells of the greedy min-cost plan, in the order they join.
+
+    Walks the cells by ascending cost, ties in flat order.  A cell joins
+    when each of its marginal entries has more than ``_ZERO_RTOL * P.h``
+    left, and takes the smallest of those remainders.  Each joining cell
+    uses up an entry, and the last one an entry of every mode, so the plan
+    is feasible with at most d*(n-1)+1 cells, linearly independent.
+    """
+    order = np.argsort(C, axis=None)
+    costs = C.ravel()[order]
+    if (costs[1:] == costs[:-1]).any():  # put ties in flat order
+        order = np.argsort(C, axis=None, kind="stable")
+    tol = _ZERO_RTOL * P.h
+    rest = P.p.copy()
+    left = rest.tolist()
+    modes = np.arange(P.d)[:, None]
+    cells, start, size = [], 0, 16
+    while start < order.size and (rest[0] > tol).any():
+        chunk = order[start:start + size]
+        index = np.array(np.unravel_index(chunk, C.shape))
+        live = (rest[modes, index] > tol).all(axis=0)
+        # only the cells live at the chunk's start are visited one by one
+        for cell, idx in zip(chunk[live].tolist(), index[:, live].T.tolist()):
+            amount = min(left[j][i] for j, i in enumerate(idx))
+            if amount > tol:
+                cells.append(cell)
+                for j, i in enumerate(idx):
+                    left[j][i] -= amount
+        rest = np.array(left)
+        start, size = start + size, min(2 * size, _WALK_CHUNK)
+    return np.array(cells, dtype=np.intp)
+
+
 def solve_exact_tot(C: Tensor, P: MarginalFamily, cap: Optional[int] = None) -> ExactSolution:
-    """Vertex-optimal plan and exact objective of the transport LP."""
+    """Vertex-optimal plan and exact objective of the transport LP.
+
+    The simplex starts from the cells of the greedy min-cost plan
+    (``_greedy_cells``) crashed into the artificial basis.
+    """
     _check_family(C, P)
     _check_cap(C, cap)
     try:
-        res = simplex_minimize(C.data.ravel(), _TransportColumns(P.d, P.n), _transport_rhs(P))
+        res = simplex_minimize(C.data.ravel(), _TransportColumns(P.d, P.n), _transport_rhs(P),
+                               start=_greedy_cells(C.data, P))
     except InfeasibleError as exc:  # cannot happen for positive marginals
         raise RuntimeError(f"transport polytope reported infeasible: {exc}") from exc
     plan = Tensor._adopt(res.x.reshape(C.data.shape))

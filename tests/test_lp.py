@@ -12,6 +12,7 @@ from tensorot import (
     MarginalFamily,
     Tensor,
     inner,
+    lift_ground_metric,
     outer,
     scalability_check,
     simplex_minimize,
@@ -87,6 +88,14 @@ class TestSimplexCore:
         assert pivots > 2 * (3 + 7)  # it cycled until the switch
         assert cost[basis] @ x_B == pytest.approx(-1.25, abs=1e-12)
         assert np.abs(A[:, basis] @ x_B - [0.0, 0.0, 1.0]).max() <= 1e-12
+
+    def test_a_start_off_the_polytope_is_dropped(self):
+        # x1 takes row 0, then x0 row 1: x1 = 2 and x0 = -1
+        A, b, c = [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]], [1.0, 2.0], [1.0, 3.0, 1.0]
+        res = simplex_minimize(c, A, b, start=[1, 0])
+        ref = simplex_minimize(c, A, b)
+        assert (res.value, res.iterations) == (ref.value, ref.iterations)
+        assert np.array_equal(res.x, ref.x)
 
     def test_infeasible_detected(self):
         from tensorot.lp import InfeasibleError
@@ -250,10 +259,17 @@ class TestSolveExact:
             C = random_cost(rng, d, n)
             P = random_marginals(rng, d, n)
             sol = solve_exact_tot(C, P)
-            ref = simplex_minimize(C.data.ravel(), *transport_constraints(P))
+            ref = simplex_minimize(C.data.ravel(), *transport_constraints(P),
+                                   start=lp._greedy_cells(C.data, P))
             assert sol.value == pytest.approx(ref.value, abs=1e-12)
             assert np.array_equal(sol.plan.data.ravel() > 0, ref.x > 0)
             assert sol.iterations == ref.iterations
+        # the artificial start, which scalability_check takes, on both readings
+        plain = simplex_minimize(C.data.ravel(), lp._TransportColumns(d, n), lp._transport_rhs(P))
+        ref = simplex_minimize(C.data.ravel(), *transport_constraints(P))
+        assert plain.value == pytest.approx(ref.value, abs=1e-12)
+        assert np.array_equal(plain.x > 0, ref.x > 0)
+        assert plain.iterations == ref.iterations > sol.iterations
 
     def test_value_scales_with_the_mass(self, rng):
         C = random_cost(rng, 3, 3)
@@ -276,6 +292,95 @@ class TestSolveExact:
         monkeypatch.setenv(CAP_ENV_VAR, "10")
         with pytest.raises(ContractViolation):
             solve_exact_tot(C, P)
+
+
+def _greedy_loop(C, P):
+    """The greedy min-cost plan, one cell at a time: the walk's reference."""
+    rest, plan = P.p.copy(), np.zeros(C.size)
+    for cell in np.argsort(C, axis=None, kind="stable"):
+        index = np.unravel_index(cell, C.shape)
+        amount = min(rest[j, i] for j, i in enumerate(index))
+        if amount > lp._ZERO_RTOL * P.h:
+            plan[cell] = amount
+            for j, i in enumerate(index):
+                rest[j, i] -= amount
+    return plan
+
+
+def _crash_cases():
+    """Costs and marginals the crash start must solve like HiGHS."""
+    rng = np.random.default_rng(15)
+    ground = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
+    ratios = MarginalFamily(np.array([[1, 1, 2], [2, 1, 1], [1, 2, 1]]) / 4)
+    dyadic = MarginalFamily([[0.25, 0.25, 0.25, 0.25], [0.5, 0.25, 0.125, 0.125]])
+    return {
+        "uniform": (random_cost(rng, 3, 4), MarginalFamily(np.full((3, 4), 0.25))),
+        "integer-ratios": (random_cost(rng, 3, 3), ratios),
+        "dyadic-ratios": (random_cost(rng, 2, 4), dyadic),
+        "mass-2.5": (random_cost(rng, 3, 4), MarginalFamily(2.5 * random_marginals(rng, 3, 4).p)),
+        "d=1": (random_cost(rng, 1, 5), random_marginals(rng, 1, 5)),
+        "n=1": (random_cost(rng, 3, 1), MarginalFamily(np.full((3, 1), 2.5))),
+        "n=2": (random_cost(rng, 4, 2), random_marginals(rng, 4, 2)),
+        "integer-costs": (Tensor(rng.integers(0, 4, size=(4,) * 3).astype(float)),
+                          MarginalFamily(np.full((3, 4), 0.25))),
+        "integer-costs-and-ratios": (Tensor(rng.integers(0, 3, size=(3,) * 3).astype(float)),
+                                     ratios),
+        "constant-cost": (Tensor(np.full((4,) * 3, 0.7)), random_marginals(rng, 3, 4)),
+        "sum-lift": (lift_ground_metric(ground, 4, "sum"), MarginalFamily(np.full((4, 3), 1 / 3))),
+    }
+
+
+class TestCrashStart:
+    """solve_exact_tot starts from the greedy min-cost plan's cells."""
+
+    def test_walk_matches_the_plain_loop(self, rng):
+        cases = list(_crash_cases().values())
+        for d, n in ((2, 30), (3, 12), (4, 6), (5, 4)):
+            cases.append((random_cost(rng, d, n), random_marginals(rng, d, n)))
+        for C, P in cases:
+            plan = _greedy_loop(C.data, P)
+            cells = lp._greedy_cells(C.data, P)
+            assert np.array_equal(cells, np.flatnonzero(plan)[np.argsort(
+                C.data.ravel()[plan > 0], kind="stable")])
+            assert cells.size <= P.d * (P.n - 1) + 1
+            assert max_marginal_gap(Tensor(plan.reshape(C.data.shape)), P) <= 1e-12 * P.h
+
+    @pytest.mark.parametrize("case", list(_crash_cases()))
+    def test_matches_highs(self, case):
+        C, P = _crash_cases()[case]
+        A_eq, b_eq = transport_constraints(P)
+        ref = linprog(C.data.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        assert ref.status == 0, ref.message
+        sol = solve_exact_tot(C, P)
+        assert sol.value == pytest.approx(ref.fun, abs=1e-12)
+        assert np.count_nonzero(sol.plan.data) <= A_eq.shape[0]
+        assert sol.plan.data.min() >= 0
+        assert (C.data.ravel() - A_eq.T @ sol.duals).min() >= -1e-12
+
+    def test_ties_leave_artificial_rows_to_the_crash(self):
+        # cells that use up entries of several modes at once: fewer than m
+        cases = _crash_cases()
+        for case in ("integer-ratios", "dyadic-ratios", "integer-costs", "sum-lift"):
+            C, P = cases[case]
+            assert lp._greedy_cells(C.data, P).size < P.d * (P.n - 1) + 1, case
+
+    def test_plans_are_nonnegative(self):
+        # drifted degenerate basics read as small negative entries
+        for d, n in ((4, 5), (4, 6), (3, 8)):
+            P = MarginalFamily(np.full((d, n), 1.0 / n))
+            for seed in range(50):
+                C = Tensor(np.random.default_rng([d, n, seed]).random((n,) * d))
+                plan = solve_exact_tot(C, P).plan
+                assert plan.data.min() >= 0, (d, n, seed)
+                assert max_marginal_gap(plan, P, ord=np.inf) <= 1e-12, (d, n, seed)
+
+    def test_halves_the_priced_pivots(self):
+        rng = np.random.default_rng(12)
+        C, P = random_cost(rng, 3, 12), random_marginals(rng, 3, 12)
+        crash = solve_exact_tot(C, P)
+        plain = simplex_minimize(C.data.ravel(), lp._TransportColumns(3, 12), lp._transport_rhs(P))
+        assert crash.value == pytest.approx(plain.value, abs=1e-12)
+        assert 2 * crash.iterations <= plain.iterations
 
 
 class TestTransportColumns:

@@ -477,7 +477,7 @@ class TestFileFormats:
     def test_marginals_must_be_positive(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"p": [[0.5, 0.5], [1.0, 0.0]]}))
-        with pytest.raises(FileFormatError, match="'p'"):
+        with pytest.raises(ContractViolation, match="strictly positive"):
             load_marginals(path)
 
     def test_all_marginals_shape(self, rng):
