@@ -314,6 +314,10 @@ class _TransportColumns:
         self.d, self.n = d, n
         self.shape = (d * (n - 1) + 1, n**d)
         self._rows, self._kept = _mode_rows(*np.indices((d, n)), n)
+        # the row of index i of mode j, the mass row for i = n-1
+        table = np.full((d, n), self.shape[0] - 1)
+        table[self._kept] = self._rows
+        self._table = table.tolist()
 
     def price(self, y):
         """y @ A as an outer sum, bit-identical to the dense product: each
@@ -328,15 +332,14 @@ class _TransportColumns:
         return out.ravel()
 
     def column(self, cell):
-        """A one in the mass row and in ``_mode_rows``' row of each index
-        below n-1, peeled off the flat cell from the last mode."""
+        """A one in the mass row and in the row of each index, the indices
+        peeled off the flat cell from the last mode."""
         col = np.zeros(self.shape[0])
         col[-1] = 1.0
-        n = self.n
-        for j in reversed(range(self.d)):
-            cell, i = divmod(int(cell), n)
-            if i < n - 1:
-                col[j * (n - 1) + i] = 1.0
+        cell = int(cell)
+        for rows in reversed(self._table):
+            cell, i = divmod(cell, self.n)
+            col[rows[i]] = 1.0
         return col
 
 
@@ -358,10 +361,7 @@ def _greedy_cells(C: np.ndarray, P: MarginalFamily) -> np.ndarray:
     uses up an entry, and the last one an entry of every mode, so the plan
     is feasible with at most d*(n-1)+1 cells, linearly independent.
     """
-    order = np.argsort(C, axis=None)
-    costs = C.ravel()[order]
-    if (costs[1:] == costs[:-1]).any():  # put ties in flat order
-        order = np.argsort(C, axis=None, kind="stable")
+    order = np.argsort(C, axis=None, kind="stable")
     tol = _ZERO_RTOL * P.h
     rest = P.p.copy()
     left = rest.tolist()
