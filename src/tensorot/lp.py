@@ -397,7 +397,7 @@ def solve_exact_tot(C: Tensor, P: MarginalFamily, cap: Optional[int] = None) -> 
     except InfeasibleError as exc:  # cannot happen for positive marginals
         raise RuntimeError(f"transport polytope reported infeasible: {exc}") from exc
     plan = Tensor._adopt(res.x.reshape(C.data.shape))
-    value = _fsum(C.data.ravel() * res.x)
+    value = _fsum(C.data, res.x, op=np.multiply)
     return ExactSolution(plan=plan, value=value, duals=res.duals, iterations=res.iterations)
 
 

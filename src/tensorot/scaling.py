@@ -365,11 +365,13 @@ def sinkhorn_scale(
     max_iter = cfg.max_iter if cfg.max_iter is not None else max(16, math.ceil(4 * bound))
 
     data0 = data / mass
+    del A, data  # a caller passing a temporary frees it here
     zero_mask = None if bases is None else data0 == 0.0
     log_p = np.log(P.p)
     p_sq = (P.p * P.p).sum(axis=1)
 
     X = np.zeros((d, n))
+    PX = np.zeros((d, n))  # P.p * X, one row updated per step
     trace = SinkhornTrace(epsilon=cfg.epsilon, bound=bound, eta=eta, mass=mass)
 
     shapes = [_axis_shape(d, j, n) for j in range(d)]
@@ -385,6 +387,7 @@ def sinkhorn_scale(
         norms = _residual_norms(S, P, bases, p_sq)
         worst = float(norms.max())
         if not rebuilt and (worst < cfg.epsilon or k % _REBUILD_STEPS == 0 or k == check_at):
+            current = None  # free the old iterate before the new one is built
             current = _scaled(data0, X, zero_mask)
             fresh = _marginals(current)
             trace.rematerializations += 1
@@ -392,7 +395,7 @@ def sinkhorn_scale(
             S, rebuilt = fresh, True
             continue
         mode = int(np.argmax(norms))
-        g_val = float(S[0].sum()) - float(np.sum(P.p * X))
+        g_val = float(S[0].sum()) - float(PX.sum())
         if worst < cfg.epsilon:
             trace.stop = "residual"
             iterate = Tensor._adopt(current)
@@ -403,6 +406,7 @@ def sinkhorn_scale(
                 trace.stop = "certified"
             else:
                 current = current.copy()  # adopting froze it
+                iterate = None
         if trace.stop is not None:
             trace.records.append(IterationRecord(
                 k=k, mode=None, residual_l1=worst, kl=None, g_value=g_val))
@@ -427,6 +431,7 @@ def sinkhorn_scale(
         # iterate tracks exp(X) and rounding in X does not pile up as drift
         current *= np.exp(row - X[mode]).reshape(shapes[mode])
         X[mode] = row
+        PX[mode] = P.p[mode] * row
         S = _marginals(current)
         rebuilt = False
         k += 1

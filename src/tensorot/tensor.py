@@ -8,14 +8,17 @@ vectors.
 
 Scalar reductions over all ``n**d`` cells are correctly rounded: they
 return exactly what ``math.fsum`` returns on the same entries, bit for bit,
-but large inputs are summed in a few numpy passes instead of one Python
-float per cell.  Vector-valued marginals use numpy's pairwise reduction,
-which is deterministic for a fixed shape.
+but large inputs are summed in a few numpy passes over cache-sized blocks
+instead of one Python float per cell.  A pass keeps no array of the
+input's size, and a sum of products, differences or entropy terms forms
+them one block at a time.  Vector-valued marginals use numpy's pairwise
+reduction, which is deterministic for a fixed shape.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -46,52 +49,102 @@ _SUM_BLOCK = 32768
 _SUM_PASSES = 3
 
 
-def _fsum(values) -> float:
+def _fsum(values, *others, op=None) -> float:
     """Correctly rounded sum of an array's entries, equal to ``math.fsum``.
+
+    With ``op``, sums the entries of ``op(values, *others)`` instead, an
+    elementwise function taking an ``out=`` array: an array of at most
+    ``_SUM_BLOCK`` entries is mapped whole, a larger one one block at a
+    time, so no array of the full size is formed.  Non-finite entries,
+    extreme exponents, zero totals and sums the passes of
+    ``_extracted_sum`` leave unresolved fall back to ``math.fsum`` itself,
+    which keeps its ``inf``/``nan``/``OverflowError``/``ValueError``
+    behaviour and the sign of a zero.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    if op is not None and x.size <= _SUM_BLOCK:
+        x, op = op(x, *(np.ravel(y) for y in others)), None
+    if x.size <= _SHORT_SUM:
+        return math.fsum(x.tolist())
+    ys = [np.ravel(y) for y in others] if op is not None else []
+    total = _extracted_sum(x, ys, op)
+    if total is None:
+        total = math.fsum((x if op is None else op(x, *ys)).tolist())
+    return total
+
+
+def _extracted_sum(x: np.ndarray, ys: list, op) -> Optional[float]:
+    """The correctly rounded sum of x, or of ``op(x, *ys)``, or None where
+    ``_SUM_PASSES`` extraction levels do not settle it.
 
     Error-free vector extraction (Rump, Ogita & Oishi, "Accurate
     floating-point summation, Part I", SISC 2008): with ``2**m >= size + 2``
     and ``sigma = 2**(m + e)`` for a residual bounded by ``2**e``, each
     ``q = (sigma + r) - sigma`` and ``r - q`` are exact and so is any sum of
-    the ``q``.  After each pass the exact total lies within
+    the ``q``.  Level k takes the sigma of the largest residual that level
+    k - 1 left.  After each level the exact total lies within
     ``2**m * max|r|`` of the extracted parts; once ``math.fsum`` rounds both
     ends of that interval to one float, that float is the correctly rounded
-    total.  Non-finite entries, extreme exponents, zero totals and
-    unresolved intervals fall back to ``math.fsum`` itself, which keeps its
-    ``inf``/``nan``/``OverflowError``/``ValueError`` behaviour and the sign
-    of a zero.
+    total.
+
+    A single block keeps its residual from pass to pass and extracts one
+    level a pass.  With more blocks no residual is stored: a pass carries
+    each block through the levels already settled again, then through the
+    next level and the one after it, whose sigma is guessed from the
+    residual bound ``2**(m + e - 53)`` of the level before.  The guessed
+    level counts only when the measured residual gives the same sigma, so
+    every level extracts what a pass over the whole array would.
     """
-    x = np.asarray(values, dtype=float).ravel()
-    if x.size <= _SHORT_SUM:
-        return math.fsum(x.tolist())
+    res = np.empty(min(_SUM_BLOCK, x.size))
+    q = np.empty_like(res)
+    starts = range(0, x.size, _SUM_BLOCK)
+
+    def block(start):
+        xb = x[start:start + _SUM_BLOCK]
+        if op is None:
+            return xb
+        return op(xb, *(y[start:start + _SUM_BLOCK] for y in ys), out=res[:xb.size])
+
+    if op is None:
+        mu = max(float(x.max()), -float(x.min()))
+    else:
+        mu = max(max(float(b.max()), -float(b.min())) for b in map(block, starts))
     m = (x.size + 1).bit_length()
-    mu = max(float(x.max()), -float(x.min()))
-    r = x
-    res = np.empty_like(x)
-    q = np.empty(min(_SUM_BLOCK, x.size))
+    sigmas = []
     parts = []
-    for _ in range(_SUM_PASSES):
+    while len(parts) < _SUM_PASSES:
         e = m + math.frexp(mu)[1]
         if not (math.isfinite(mu) and -1000 < e < 1000):
-            break
-        sigma = math.ldexp(1.0, e)
-        part = mu = 0.0
-        for start in range(0, x.size, _SUM_BLOCK):
-            block = r[start:start + _SUM_BLOCK]
-            qb = np.add(block, sigma, out=q[:block.size])
-            qb -= sigma
-            part += float(qb.sum())
-            rb = np.subtract(block, qb, out=res[start:start + _SUM_BLOCK])
-            mu = max(mu, float(rb.max()), -float(rb.min()))
-        r = res
-        parts.append(part)
-        bound = math.ldexp(mu, m)
-        low = math.fsum(parts + [-bound])
-        if low != 0.0 and low == math.fsum(parts + [bound]):
-            return low
-        if bound == 0.0:
-            break
-    return math.fsum(x.tolist())
+            return None
+        if len(starts) == 1:
+            replay, new = [], [e]
+        else:
+            replay, new = sigmas, [e, m + e - 53][:_SUM_PASSES - len(parts)]
+        levels = replay + [math.ldexp(1.0, k) for k in new]
+        new_parts = [0.0] * len(new)
+        new_mus = [0.0] * len(new)
+        for start in starts:
+            r = res if parts and len(starts) == 1 else block(start)
+            for i, sigma in enumerate(levels, -len(replay)):
+                qb = np.add(r, sigma, out=q[:r.size])
+                qb -= sigma
+                r = np.subtract(r, qb, out=res[:r.size])
+                if i >= 0:
+                    new_parts[i] += float(qb.sum())
+                    new_mus[i] = max(new_mus[i], float(r.max()), -float(r.min()))
+        for k, part, mu_k in zip(new, new_parts, new_mus):
+            if k != m + math.frexp(mu)[1] or not -1000 < k < 1000:
+                break  # a guess the measured residual does not confirm
+            sigmas.append(math.ldexp(1.0, k))
+            parts.append(part)
+            mu = mu_k
+            bound = math.ldexp(mu, m)
+            low = math.fsum(parts + [-bound])
+            if low != 0.0 and low == math.fsum(parts + [bound]):
+                return low
+            if bound == 0.0:
+                return None
+    return None
 
 
 def _mass(values, what: str) -> float:
@@ -274,6 +327,14 @@ def marginal(A: Tensor, mode: int) -> np.ndarray:
     return A.data.sum(axis=axes)
 
 
+def _row_blocks(n: int, row: int) -> list:
+    """Slices of a leading axis of length n, whose entries hold ``row``
+    cells each, with at most ``_SUM_BLOCK`` cells a slice (one slice when
+    the whole axis fits)."""
+    step = max(1, _SUM_BLOCK // row)
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
 def _marginals(a: np.ndarray) -> np.ndarray:
     """All d marginals of an ``(n,)*d`` array as a (d, n) array.
 
@@ -318,15 +379,19 @@ def rescale_mode(A: Tensor, target, mode: int) -> Tensor:
 
 
 def _scaled(data: np.ndarray, X: np.ndarray, zeros=None) -> np.ndarray:
-    """data * exp(sum_j X[j, i_j]), exactly 0 where ``zeros`` is set; exponents
-    are unconstrained on zero cells and may overflow there harmlessly."""
+    """data * exp(sum_j X[j, i_j]) in one new array, exactly 0 where ``zeros``
+    is set; exponents are unconstrained on zero cells and may overflow there
+    harmlessly."""
     d, n = X.shape
     E = X[0].reshape(_axis_shape(d, 0, n))
     for j in range(1, d):
         E = E + X[j].reshape(_axis_shape(d, j, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = data * np.exp(E)
-    return out if zeros is None else np.where(zeros, 0.0, out)
+        out = np.exp(E, out=E if d > 1 else None)
+        out *= data
+    if zeros is not None:
+        out[zeros] = 0.0
+    return out
 
 
 def apply_scaling(A: Tensor, exponents) -> Tensor:
@@ -347,16 +412,29 @@ def inner(A: Tensor, B: Tensor) -> float:
     """Hilbert-Schmidt inner product, compensated accumulation."""
     if A.data.shape != B.data.shape:
         raise ValueError(f"shape mismatch: {A.data.shape} vs {B.data.shape}")
-    return _fsum(A.data * B.data)
+    return _fsum(A.data, B.data, op=np.multiply)
 
 
 def entropy(U: Tensor) -> float:
     """Shannon entropy of a probability tensor, with 0*log(0) = 0."""
     U.require_probability("entropy argument")
-    data = U.data
-    terms = np.log(data, out=np.zeros(data.shape), where=data > 0)
-    terms *= data
-    return -_fsum(terms)
+    return _entropy(U.data)
+
+
+def _xlogx(x: np.ndarray, out=None) -> np.ndarray:
+    """x * log(x) entrywise, with 0 * x where x <= 0."""
+    if out is None:
+        out = np.zeros(x.shape)
+    else:
+        out.fill(0.0)
+    np.log(x, out=out, where=x > 0)
+    out *= x
+    return out
+
+
+def _entropy(data: np.ndarray) -> float:
+    """``entropy`` of an array already known to be a probability tensor."""
+    return -_fsum(data, op=_xlogx)
 
 
 def _spread(C: Tensor) -> tuple[float, float]:
@@ -379,7 +457,9 @@ def exp_neg_scaled(C: Tensor, rate: float) -> Tensor:
     if not rate > 0:
         raise ContractViolation("rate must be positive")
     low, _ = _spread(C)
-    out = np.exp(-rate * (C.data - low))
+    out = np.subtract(C.data, low)
+    out *= -rate
+    np.exp(out, out=out)
     if low != 0.0:
         try:
             out *= math.exp(-rate * low)
@@ -406,10 +486,15 @@ def outer(vectors) -> Tensor:
 
 def l1_norm(A: Tensor) -> float:
     """Sum of absolute entries (== total mass for nonnegative tensors)."""
-    return _fsum(np.abs(A.data))
+    return _fsum(A.data, op=np.abs)
 
 
 def l1_distance(A: Tensor, B: Tensor) -> float:
     if A.data.shape != B.data.shape:
         raise ValueError(f"shape mismatch: {A.data.shape} vs {B.data.shape}")
-    return _fsum(np.abs(A.data - B.data))
+    return _fsum(A.data, B.data, op=_abs_diff)
+
+
+def _abs_diff(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    out = np.subtract(a, b, out=out)
+    return np.abs(out, out=out)

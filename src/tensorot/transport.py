@@ -28,9 +28,10 @@ from .tensor import (
     MarginalFamily,
     Tensor,
     _check_family,
+    _entropy,
     _fsum,
+    _row_blocks,
     _spread,
-    entropy,
     exp_neg_scaled,
     inner,
     l1_distance,
@@ -113,10 +114,10 @@ class TotCertificate:
 
 def entropic_tot(C: Tensor, P: MarginalFamily, lam: float, epsilon: float) -> EntropicResult:
     """Scale exp(-lam*C) toward the polytope and report the stopped iterate."""
-    kernel = exp_neg_scaled(C, lam)
-    plan, scaling, trace = sinkhorn_scale(kernel, P, SinkhornConfig(epsilon=epsilon))
+    plan, scaling, trace = sinkhorn_scale(exp_neg_scaled(C, lam), P,
+                                          SinkhornConfig(epsilon=epsilon))
     cost = inner(C, plan)
-    ent = entropy(plan)
+    ent = _entropy(plan.data)  # the scaling returns a probability tensor
     return EntropicResult(plan=plan, cost=cost, entropy=ent,
                           value=cost - ent / lam, lam=lam,
                           scaling=scaling, trace=trace)
@@ -143,7 +144,9 @@ def _lower_bound(C: Tensor, P: MarginalFamily, X: np.ndarray, lam: float) -> flo
     tail = np.zeros(1)  # sum_{j>0} y_j[i_j], flat over (i_1, ..., i_{d-1})
     for y in Y[1:]:
         tail = (tail[:, None] + y).ravel()
-    Y[0] = (C.data.reshape(C.n, -1) - tail).min(axis=1)
+    costs = C.data.reshape(C.n, -1)
+    for rows in _row_blocks(C.n, tail.size):
+        Y[0, rows] = (costs[rows] - tail).min(axis=1)
     return _fsum(P.p * Y)
 
 

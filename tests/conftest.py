@@ -1,6 +1,7 @@
 """Shared random-instance builders and independent brute-force oracles."""
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,16 @@ def package_env():
     root = str(Path(tensorot.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": root if not path else root + os.pathsep + path}
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak of the bytes it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_marginals(rng, d, n, floor=0.2):

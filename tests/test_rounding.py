@@ -1,5 +1,7 @@
 """Rounding into the transport polytope: shrink passes, correction, bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,21 @@ class TestRankOneCorrection:
         B = rank_one_correction(G, qs, P)
         assert np.allclose(B.data, [[0.6, 0.0], [0.0, 0.4]], atol=1e-12)
         assert np.allclose(all_marginals(B), P.p, atol=1e-12)
+
+    @pytest.mark.parametrize("d, n", [(2, 200), (3, 40), (4, 24), (5, 12)])
+    def test_blocks_of_slabs_match_the_whole_outer_product(self, rng, d, n):
+        # the correction is added a few slabs at a time; the entries must be
+        # those of the outer product formed whole, as a single block forms it
+        F = random_positive_tensor(rng, d, n)
+        P = random_marginals(rng, d, n)
+        G, qs = shrink_to_submarginals(F, P)
+        diff = np.maximum(P.p - qs, 0.0)
+        whole = diff[0]
+        for row in diff[1:]:
+            whole = np.multiply.outer(whole, row)
+        whole = whole / (P.h - math.fsum(G.data.ravel().tolist())) ** (d - 1) + G.data
+        assert np.array_equal(rank_one_correction(G, qs, P).data, whole)
+        assert np.array_equal(round_to_polytope(F, P).data, whole)
 
     def test_mass_identity(self, rng):
         for _ in range(20):

@@ -33,9 +33,10 @@ from tensorot import (
 )
 from tensorot import scaling
 from tensorot.scaling import _svd_bases
-from tensorot.tensor import _fsum, _scaled
+from tensorot.tensor import _fsum, _marginals, _scaled
 
-from conftest import max_marginal_gap, random_cost, random_marginals, random_positive_tensor
+from conftest import (max_marginal_gap, random_cost, random_marginals, random_positive_tensor,
+                      traced_peak)
 
 
 def uniform_family(d, n):
@@ -374,6 +375,18 @@ class TestCertifyHook:
             assert np.array_equal(iterate, _scaled(data0, X_k))
         assert trace.rematerializations >= len(calls)
 
+    def test_g_value_at_a_check_sums_the_whole_exponent_table(self, rng):
+        # the run keeps P.p * X row by row; at a check its record must show
+        # the potential formed from the rebuilt iterate and all of X
+        A, P, cfg = TestIncrementalStep()._long_solve(rng)
+        calls = []
+        _, _, trace = sinkhorn_scale(A, P, cfg,
+                                     certify=lambda it, X: calls.append((it.data.copy(), X)))
+        assert len(calls) >= 3
+        for k, (iterate, X) in zip((8, 16, 32, 64), calls):
+            g = float(_marginals(iterate)[0].sum()) - float(np.sum(P.p * X))
+            assert trace.records[k].g_value == g
+
     def test_true_ends_the_run_there(self, rng, monkeypatch):
         A, cfg, (scaled, X, trace), calls = self._run(rng, monkeypatch, lambda i: i == 2)
         assert trace.stop == "certified" and trace.k_stop == 16
@@ -424,6 +437,15 @@ class TestIncrementalStep:
         C = random_cost(rng, 3, 4)
         P = random_marginals(rng, 3, 4)
         return exp_neg_scaled(C, 30.0), P, SinkhornConfig(epsilon=1e-4)
+
+    def test_rebuilds_hold_two_iterate_sized_arrays(self, rng):
+        # the normalized input and one iterate: a rebuild frees the old
+        # iterate before it builds the new one in place
+        A = exp_neg_scaled(random_cost(rng, 4, 24), 50.0)
+        P = random_marginals(rng, 4, 24)
+        (_, _, trace), peak = traced_peak(sinkhorn_scale, A, P, SinkhornConfig(epsilon=1e-4))
+        assert trace.rematerializations >= 1
+        assert peak <= 2.2 * A.data.nbytes
 
     def test_scaled_runs_only_for_counted_rebuilds(self, rng, monkeypatch):
         calls = []

@@ -28,7 +28,8 @@ from tensorot import (
     save_tensor,
 )
 from tensorot.io import FileFormatError
-from tensorot.tensor import _SHORT_SUM, _fsum, _marginals
+from tensorot.tensor import (_SHORT_SUM, _SUM_BLOCK, _SUM_PASSES, _abs_diff, _fsum, _marginals,
+                             _xlogx)
 
 from conftest import brute_inner, brute_marginal, random_marginals, random_positive_tensor
 
@@ -261,6 +262,85 @@ def _reference_sum(values):
     return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
 
 
+def _random_arrays(rng, size):
+    return [
+        rng.random(size),
+        -rng.random(size),
+        rng.standard_normal(size),
+        rng.random((size, 1)) * 1e-3 - 1e-4,
+        rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size),
+        rng.standard_normal(size) * 10.0 ** rng.integers(-12, 12, size),
+        -np.log(rng.random(size)) * rng.random(size) / size,
+    ]
+
+
+def _cancellations(rng, size):
+    half = rng.standard_normal(size // 2) * 10.0 ** rng.integers(-20, 20, size // 2)
+    pairs = np.concatenate([half, -half])
+    rng.shuffle(pairs)
+    return [pairs, np.concatenate([pairs, [1e-300]]), np.concatenate([pairs, [2.0**-60, 1.0]])]
+
+
+def _subnormals(rng, size):
+    return [
+        rng.integers(-1000, 1000, size) * 5e-324,
+        rng.random(size) * 1e-310,
+        np.ldexp(rng.choice([-1.0, 1.0], size), rng.integers(-1074, 1000, size)),
+    ]
+
+
+_SPECIALS = [[np.inf], [-np.inf], [np.nan], [np.inf, -np.inf], [1e308, 1e308], [-1e308, -1e308]]
+
+
+def _specials(rng, size):
+    cases = []
+    for special in _SPECIALS:
+        x = rng.random(size)
+        x[: len(special)] = special
+        rng.shuffle(x)
+        cases.append(x)
+    return cases
+
+
+def _signed_zeros(size):
+    return [np.zeros(size), -np.zeros(size), np.concatenate([np.zeros(size - 1), [-0.0]])]
+
+
+def _finite_cases(rng, size):
+    return (_random_arrays(rng, size) + _cancellations(rng, size) + _subnormals(rng, size)
+            + _signed_zeros(size))
+
+
+def _passes_settle(values):
+    """Whether extraction passes over whole arrays, without blocks, settle
+    the sum before the float-list fallback: the reference for when the
+    blockwise passes may fall back."""
+    x = np.asarray(values, dtype=float).ravel()
+    m = (x.size + 1).bit_length()
+    mu = float(np.abs(x).max())
+    r, parts = x, []
+    for _ in range(_SUM_PASSES):
+        e = m + math.frexp(mu)[1]
+        if not (math.isfinite(mu) and -1000 < e < 1000):
+            return False
+        q = (r + math.ldexp(1.0, e)) - math.ldexp(1.0, e)
+        parts.append(math.fsum(q.tolist()))
+        r = r - q
+        mu = float(np.abs(r).max())
+        bound = math.ldexp(mu, m)
+        low = math.fsum(parts + [-bound])
+        if low != 0.0 and low == math.fsum(parts + [bound]):
+            return True
+        if bound == 0.0:
+            return False
+    return False
+
+
+# around the short path, the one-block path and several blocks
+_BLOCK_SIZES = [_SHORT_SUM - 1, _SHORT_SUM, _SHORT_SUM + 1, _SUM_BLOCK - 1, _SUM_BLOCK,
+                _SUM_BLOCK + 1, 3 * _SUM_BLOCK + 7]
+
+
 class TestFsum:
     """_fsum must return math.fsum's bits whether or not it takes the numpy passes."""
 
@@ -269,28 +349,18 @@ class TestFsum:
 
     @pytest.mark.parametrize("size", [1, 7, _SHORT_SUM, _SHORT_SUM + 1, 4099, 65537, 262144])
     def test_random_arrays(self, rng, size):
-        self.assert_same(rng.random(size))
-        self.assert_same(-rng.random(size))
-        self.assert_same(rng.standard_normal(size))
-        self.assert_same(rng.random((size, 1)) * 1e-3 - 1e-4)
-        self.assert_same(rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size))
-        self.assert_same(rng.standard_normal(size) * 10.0 ** rng.integers(-12, 12, size))
-        self.assert_same(-np.log(rng.random(size)) * rng.random(size) / size)
+        for x in _random_arrays(rng, size):
+            self.assert_same(x)
 
     @pytest.mark.parametrize("size", [_SHORT_SUM, _SHORT_SUM + 1, 40000])
     def test_exact_cancellation(self, rng, size):
-        half = rng.standard_normal(size // 2) * 10.0 ** rng.integers(-20, 20, size // 2)
-        pairs = np.concatenate([half, -half])
-        rng.shuffle(pairs)
-        self.assert_same(pairs)
-        self.assert_same(np.concatenate([pairs, [1e-300]]))
-        self.assert_same(np.concatenate([pairs, [2.0**-60, 1.0]]))
+        for x in _cancellations(rng, size):
+            self.assert_same(x)
 
     @pytest.mark.parametrize("size", [_SHORT_SUM, _SHORT_SUM + 1, 40000])
     def test_subnormals(self, rng, size):
-        self.assert_same(rng.integers(-1000, 1000, size) * 5e-324)
-        self.assert_same(rng.random(size) * 1e-310)
-        self.assert_same(np.ldexp(rng.choice([-1.0, 1.0], size), rng.integers(-1074, 1000, size)))
+        for x in _subnormals(rng, size):
+            self.assert_same(x)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_residuals_summing_past_a_rounding_boundary(self, sign):
@@ -331,15 +401,70 @@ class TestFsum:
     def test_zero_totals(self, values):
         self.assert_same(values)
 
-    @pytest.mark.parametrize("special", [
-        [np.inf], [-np.inf], [np.nan], [np.inf, -np.inf], [1e308, 1e308], [-1e308, -1e308],
-    ])
+    @pytest.mark.parametrize("special", _SPECIALS)
     @pytest.mark.parametrize("size", [4, _SHORT_SUM + 1, 5000])
     def test_nonfinite_and_overflow(self, rng, special, size):
         x = rng.random(size)
         x[: len(special)] = special
         rng.shuffle(x)
         self.assert_same(x)
+
+    @pytest.mark.parametrize("size", _BLOCK_SIZES)
+    def test_products_and_differences(self, rng, size):
+        # each form sums op(values, other) one block at a time; the
+        # reference forms the whole array first, as a plain reduction would
+        def assert_form(op, values, other):
+            with np.errstate(over="ignore"):  # products of 1e300s overflow to inf
+                got = _sum_outcome(lambda v: _fsum(v, other, op=op), values)
+                assert got == _sum_outcome(_reference_sum, op(values, other))
+
+        for x in _finite_cases(rng, size) + _specials(rng, size):
+            x = x.ravel()
+            assert_form(np.multiply, x, np.ones(x.size))  # the product is x itself
+            assert_form(_abs_diff, x, -np.zeros(x.size))
+        for x in _finite_cases(rng, size):
+            x = x.ravel()
+            assert_form(np.multiply, x, 0.5 + rng.random(x.size))
+            assert_form(_abs_diff, x, rng.standard_normal(x.size) * np.abs(x).max())
+            assert_form(np.multiply, x, x[::-1].copy())
+
+    @pytest.mark.parametrize("size", _BLOCK_SIZES)
+    def test_entropy_terms(self, rng, size):
+        for x in _finite_cases(rng, size):
+            x = np.abs(x.ravel())
+            x[rng.random(x.size) < 0.2] = 0.0
+            got = _sum_outcome(lambda v: _fsum(v, op=_xlogx), x)
+            assert got == _sum_outcome(_reference_sum, _xlogx(x))
+
+    @pytest.mark.parametrize("size", _BLOCK_SIZES[2:])
+    def test_blocks_fall_back_only_where_whole_array_passes_do(self, rng, size, monkeypatch):
+        lengths = []
+
+        def recording_fsum(values, fsum=math.fsum):
+            lengths.append(len(values))
+            return fsum(values)
+
+        cases = _finite_cases(rng, size) + _specials(rng, size)
+        cases += [np.full(size, 2.0**-4), np.concatenate([[2.0**60], np.full(size - 1, 2.0**-4)])]
+        # level 1 leaves residuals far below its bound 2**(m + e - 53), and the
+        # total sits just above a rounding midpoint: a level 2 at that bound
+        # would leave +-2**-20 to level 3, which then cannot reach the tiny
+        # entries; the sigmas of the measured residuals settle it at level 3
+        cases.append(np.concatenate([[2.0**60, 128.0 + 2.0**-20, -(2.0**-20)],
+                                     rng.random(size - 3) * 1e-35]))
+        with np.errstate(invalid="ignore", over="ignore"):
+            settles = [_passes_settle(x) for x in cases]
+        monkeypatch.setattr(math, "fsum", recording_fsum)
+        for x, settled in zip(cases, settles):
+            for form in (lambda: _fsum(x), lambda: _fsum(x, np.ones(x.shape), op=np.multiply)):
+                del lengths[:]
+                try:
+                    form()
+                except (OverflowError, ValueError):
+                    pass
+                assert (max(lengths) > _SUM_PASSES + 1) == (not settled)
+        monkeypatch.undo()
+        assert any(settles) and not all(settles)
 
 
 class TestEntropy:
@@ -368,6 +493,10 @@ class TestEntropy:
     def test_negative_entry(self):
         with pytest.raises(ContractViolation):
             entropy(Tensor([[-0.1, 0.6], [0.3, 0.2]]))
+
+    def test_mass_other_than_one(self):
+        with pytest.raises(ContractViolation, match="unit mass"):
+            entropy(Tensor([[0.1, 0.6], [0.3, 0.2]]))
 
     def test_bits_of_the_positive_entries_sum(self, rng):
         # zero cells add exact zeros, so the sum over the positive entries

@@ -18,9 +18,10 @@ from tensorot import (
     outer,
     solve_exact_tot,
 )
+from tensorot.tensor import exp_neg_scaled
 from tensorot.transport import _lower_bound
 
-from conftest import max_marginal_gap, random_cost, random_marginals
+from conftest import max_marginal_gap, random_cost, random_marginals, traced_peak
 
 
 def uniform_family(d, n):
@@ -49,6 +50,24 @@ class TestEntropic:
     def test_large_lam_approaches_lp_value(self):
         res = entropic_tot(swap_cost(), uniform_family(2, 2), lam=60.0, epsilon=0.01)
         assert res.cost == pytest.approx(0.0, abs=1e-12)
+
+    def test_the_iterate_is_not_checked_again(self, rng, monkeypatch):
+        # the scaling returns a probability tensor: its entropy is taken
+        # without require_probability's two more passes over it
+        C, P = random_cost(rng, 3, 12), random_marginals(rng, 3, 12)
+        expect = entropic_tot(C, P, lam=7.0, epsilon=0.05)
+        calls = []
+        real = Tensor.require_probability
+
+        def spy(self, what="tensor"):
+            calls.append(what)
+            return real(self, what)
+
+        monkeypatch.setattr(Tensor, "require_probability", spy)
+        res = entropic_tot(C, P, lam=7.0, epsilon=0.05)
+        assert calls == []
+        assert res.entropy == entropy(res.plan) == expect.entropy
+        assert calls == ["entropy argument"]
 
     def test_value_decomposition(self, rng):
         C = random_cost(rng, 2, 3)
@@ -268,6 +287,18 @@ class TestCertifiedBracket:
         X[0] += 1.0 + rng.random(n)
         assert _lower_bound(C, P, X, lam) == pytest.approx(tau, abs=1e-12)
 
+    @pytest.mark.parametrize("d, n", [(3, 6), (4, 24), (2, 200), (1, 40000)])
+    def test_lower_bound_takes_the_row_minima_of_the_whole_table(self, rng, d, n):
+        # a large cost is read a block of rows at a time
+        C, P = random_cost(rng, d, n), random_marginals(rng, d, n)
+        X = rng.standard_normal((d, n))
+        Y = X / 30.0
+        tail = np.zeros(1)
+        for y in Y[1:]:
+            tail = (tail[:, None] + y).ravel()
+        Y[0] = (C.data.reshape(n, -1) - tail).min(axis=1)
+        assert _lower_bound(C, P, X, 30.0) == math.fsum((P.p * Y).ravel().tolist())
+
     def test_lower_bound_holds_for_any_exponents(self, rng):
         C, P = random_cost(rng, 3, 4), random_marginals(rng, 3, 4)
         tau = solve_exact_tot(C, P).value
@@ -286,3 +317,22 @@ class TestCertifiedBracket:
         assert lines[-1].keys() == {"k_stop", "bound", "eta", "mass"}
         assert lines[-1]["k_stop"] == cert.k_stop
         assert cert.value - cert.bracket_low <= 0.05
+
+
+class TestMemory:
+    """Peaks of new allocations at (4,24), as multiples of the cost's bytes."""
+
+    def test_approx_tot_holds_at_most_three_cost_sized_arrays(self, rng):
+        # the check holds the scaling's normalized kernel, its iterate and the
+        # rounded plan; sums, products and the rank-one correction go by blocks
+        C, P = random_cost(rng, 4, 24), random_marginals(rng, 4, 24)
+        (plan, cert), peak = traced_peak(approx_tot, C, P, 0.05)
+        assert cert.k_stop >= 8
+        assert peak <= 3.5 * C.data.nbytes
+
+    def test_kernel_build_holds_two_cost_sized_arrays(self, rng):
+        # the shifted cost and the kernel, exponentiated in place
+        C = random_cost(rng, 4, 24)
+        shift = float(C.data.min())
+        _, peak = traced_peak(lambda: exp_neg_scaled(Tensor(C.data - shift), 20.0))
+        assert peak <= 2.2 * C.data.nbytes
