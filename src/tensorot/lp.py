@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolation
-from .tensor import MarginalFamily, Tensor, _check_family, _fsum
+from .tensor import MarginalFamily, Tensor, _check_family, inner
 
 __all__ = [
     "SimplexResult",
@@ -397,7 +397,7 @@ def solve_exact_tot(C: Tensor, P: MarginalFamily, cap: Optional[int] = None) -> 
     except InfeasibleError as exc:  # cannot happen for positive marginals
         raise RuntimeError(f"transport polytope reported infeasible: {exc}") from exc
     plan = Tensor._adopt(res.x.reshape(C.data.shape))
-    value = _fsum(C.data, res.x, op=np.multiply)
+    value = inner(C, plan)
     return ExactSolution(plan=plan, value=value, duals=res.duals, iterations=res.iterations)
 
 

@@ -53,7 +53,8 @@ def _fsum(values, *others, op=None) -> float:
     """Correctly rounded sum of an array's entries, equal to ``math.fsum``.
 
     With ``op``, sums the entries of ``op(values, *others)`` instead, an
-    elementwise function taking an ``out=`` array: an array of at most
+    elementwise function taking an ``out=`` array, whose operands share one
+    shape: an array of at most
     ``_SUM_BLOCK`` entries is mapped whole, a larger one one block at a
     time, so no array of the full size is formed.  Non-finite entries,
     extreme exponents, zero totals and sums the passes of
@@ -61,9 +62,10 @@ def _fsum(values, *others, op=None) -> float:
     which keeps its ``inf``/``nan``/``OverflowError``/``ValueError``
     behaviour and the sign of a zero.
     """
-    x = np.asarray(values, dtype=float).ravel()
+    x = np.asarray(values, dtype=float)
     if op is not None and x.size <= _SUM_BLOCK:
-        x, op = op(x, *(np.ravel(y) for y in others)), None
+        x, op = op(x, *others), None
+    x = x.ravel()
     if x.size <= _SHORT_SUM:
         return math.fsum(x.tolist())
     ys = [np.ravel(y) for y in others] if op is not None else []
