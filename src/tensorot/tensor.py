@@ -411,7 +411,7 @@ def apply_scaling(A: Tensor, exponents) -> Tensor:
 
 
 def inner(A: Tensor, B: Tensor) -> float:
-    """Hilbert-Schmidt inner product, compensated accumulation."""
+    """Hilbert-Schmidt inner product, correctly rounded."""
     if A.data.shape != B.data.shape:
         raise ValueError(f"shape mismatch: {A.data.shape} vs {B.data.shape}")
     return _fsum(A.data, B.data, op=np.multiply)
