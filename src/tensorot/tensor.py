@@ -68,7 +68,7 @@ def _fsum(values, *others, op=None) -> float:
     x = x.ravel()
     if x.size <= _SHORT_SUM:
         return math.fsum(x.tolist())
-    ys = [np.ravel(y) for y in others] if op is not None else []
+    ys = [np.ravel(y) for y in others]
     total = _extracted_sum(x, ys, op)
     if total is None:
         total = math.fsum((x if op is None else op(x, *ys)).tolist())

@@ -14,11 +14,11 @@ from tensorot import (
     entropic_bracket,
     entropic_tot,
     entropy,
+    exp_neg_scaled,
     inner,
     outer,
     solve_exact_tot,
 )
-from tensorot.tensor import exp_neg_scaled
 from tensorot.transport import _lower_bound
 
 from conftest import max_marginal_gap, random_cost, random_marginals, traced_peak
