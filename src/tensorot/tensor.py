@@ -52,11 +52,11 @@ _SUM_PASSES = 3
 def _fsum(values, *others, op=None) -> float:
     """Correctly rounded sum of an array's entries, equal to ``math.fsum``.
 
-    With ``op``, sums the entries of ``op(values, *others)`` instead, an
-    elementwise function taking an ``out=`` array, whose operands share one
-    shape: an array of at most
-    ``_SUM_BLOCK`` entries is mapped whole, a larger one one block at a
-    time, so no array of the full size is formed.  Non-finite entries,
+    With ``op``, sums the entries of ``op(values, *others)`` instead, for an
+    elementwise function taking an ``out=`` array and operands of one
+    shape: an array of at most ``_SUM_BLOCK`` entries is mapped whole, a
+    larger one one block at a time, so no array of the full size is
+    formed.  Non-finite entries,
     extreme exponents, zero totals and sums the passes of
     ``_extracted_sum`` leave unresolved fall back to ``math.fsum`` itself,
     which keeps its ``inf``/``nan``/``OverflowError``/``ValueError``
@@ -93,7 +93,7 @@ def _extracted_sum(x: np.ndarray, ys: list, op) -> Optional[float]:
     level a pass.  With more blocks no residual is stored: a pass carries
     each block through the levels already settled again, then through the
     next level and the one after it, whose sigma is guessed from the
-    residual bound ``2**(m + e - 53)`` of the level before.  The guessed
+    residual bound ``sigma * 2**-53`` of the level before.  The guessed
     level counts only when the measured residual gives the same sigma, so
     every level extracts what a pass over the whole array would.
     """
