@@ -364,9 +364,9 @@ def sinkhorn_scale(
     bound = iteration_bound(n, cfg.epsilon, mass, eta)
     max_iter = cfg.max_iter if cfg.max_iter is not None else max(16, math.ceil(4 * bound))
 
-    data0 = data / mass
-    del A, data  # a caller passing a temporary frees it here
-    zero_mask = None if bases is None else data0 == 0.0
+    # data / mass is never stored whole: the run holds the input and its
+    # iterate, and a rebuild divides the input anew a block at a time
+    zero_mask = None if bases is None else data / mass == 0.0
     log_p = np.log(P.p)
     p_sq = (P.p * P.p).sum(axis=1)
 
@@ -376,7 +376,7 @@ def sinkhorn_scale(
 
     shapes = [_axis_shape(d, j, n) for j in range(d)]
     check_at = _CERTIFY_FIRST if certify is not None else None
-    current = data0.copy()  # equals _scaled(data0, X) while X is zero
+    current = data / mass  # equals _scaled(data, X, mass=mass) while X is zero
     S = _marginals(current)
     for j, s in enumerate(S):
         if np.any(s <= 0):
@@ -388,7 +388,7 @@ def sinkhorn_scale(
         worst = float(norms.max())
         if not rebuilt and (worst < cfg.epsilon or k % _REBUILD_STEPS == 0 or k == check_at):
             current = None  # free the old iterate before the new one is built
-            current = _scaled(data0, X, zero_mask)
+            current = _scaled(data, X, zero_mask, mass)
             fresh = _marginals(current)
             trace.rematerializations += 1
             trace.drift = max(trace.drift, float(np.abs(fresh - S).sum()))

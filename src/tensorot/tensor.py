@@ -56,11 +56,19 @@ def _fsum(values, *others, op=None) -> float:
     elementwise function taking an ``out=`` array and operands of one
     shape: an array of at most ``_SUM_BLOCK`` entries is mapped whole, a
     larger one one block at a time, so no array of the full size is
-    formed.  Non-finite entries,
-    extreme exponents, zero totals and sums the passes of
-    ``_extracted_sum`` leave unresolved fall back to ``math.fsum`` itself,
-    which keeps its ``inf``/``nan``/``OverflowError``/``ValueError``
-    behaviour and the sign of a zero.
+    formed.
+
+    Error-free vector extraction (Rump, Ogita & Oishi, "Accurate
+    floating-point summation, Part I", SISC 2008): with ``2**m >= size + 2``
+    and ``sigma = 2**(m + e)`` for a residual bounded by ``2**e``, each
+    ``q = (sigma + r) - sigma`` and ``r - q`` are exact and so is any sum of
+    the ``q``.  After each pass the exact total lies within
+    ``2**m * max|r|`` of the extracted parts; once ``math.fsum`` rounds both
+    ends of that interval to one float, that float is the correctly rounded
+    total.  Non-finite entries, extreme exponents, zero totals and
+    unresolved intervals fall back to ``math.fsum`` itself, which keeps its
+    ``inf``/``nan``/``OverflowError``/``ValueError`` behaviour and the sign
+    of a zero.
     """
     x = np.asarray(values, dtype=float)
     if op is not None and x.size <= _SUM_BLOCK:
@@ -68,84 +76,85 @@ def _fsum(values, *others, op=None) -> float:
     x = x.ravel()
     if x.size <= _SHORT_SUM:
         return math.fsum(x.tolist())
-    ys = [np.ravel(y) for y in others]
-    total = _extracted_sum(x, ys, op)
-    if total is None:
-        total = math.fsum((x if op is None else op(x, *ys)).tolist())
-    return total
-
-
-def _extracted_sum(x: np.ndarray, ys: list, op) -> Optional[float]:
-    """The correctly rounded sum of x, or of ``op(x, *ys)``, or None where
-    ``_SUM_PASSES`` extraction levels do not settle it.
-
-    Error-free vector extraction (Rump, Ogita & Oishi, "Accurate
-    floating-point summation, Part I", SISC 2008): with ``2**m >= size + 2``
-    and ``sigma = 2**(m + e)`` for a residual bounded by ``2**e``, each
-    ``q = (sigma + r) - sigma`` and ``r - q`` are exact and so is any sum of
-    the ``q``.  Level k takes the sigma of the largest residual that level
-    k - 1 left.  After each level the exact total lies within
-    ``2**m * max|r|`` of the extracted parts; once ``math.fsum`` rounds both
-    ends of that interval to one float, that float is the correctly rounded
-    total.
-
-    A single block keeps its residual from pass to pass and extracts one
-    level a pass.  With more blocks no residual is stored: a pass carries
-    each block through the levels already settled again, then through the
-    next level and the one after it, whose sigma is guessed from the
-    residual bound ``sigma * 2**-53`` of the level before.  The guessed
-    level counts only when the measured residual gives the same sigma, so
-    every level extracts what a pass over the whole array would.
-    """
-    res = np.empty(min(_SUM_BLOCK, x.size))
-    q = np.empty_like(res)
-    starts = range(0, x.size, _SUM_BLOCK)
-
-    def block(start):
-        xb = x[start:start + _SUM_BLOCK]
-        if op is None:
-            return xb
-        return op(xb, *(y[start:start + _SUM_BLOCK] for y in ys), out=res[:xb.size])
-
-    if op is None:
-        mu = max(float(x.max()), -float(x.min()))
+    if x.size <= _SUM_BLOCK:
+        total = _resident_sum(x)
     else:
-        mu = max(max(float(b.max()), -float(b.min())) for b in map(block, starts))
+        ys = [np.ravel(y) for y in others]
+        total = _replayed_sum(x, ys, op)
+        if total is None and op is not None:
+            x = op(x, *ys)
+    return math.fsum(x.tolist()) if total is None else total
+
+
+def _settled(parts: list, mu: float, m: int) -> Optional[float]:
+    """The float both ends of ``sum(parts) +- 2**m * mu`` round to, or None."""
+    bound = math.ldexp(mu, m)
+    low = math.fsum(parts + [-bound])
+    return low if low != 0.0 and low == math.fsum(parts + [bound]) else None
+
+
+def _resident_sum(x: np.ndarray) -> Optional[float]:
+    """``_fsum``'s passes over one block, which keeps its residual from
+    pass to pass; None where they leave the sum unresolved."""
     m = (x.size + 1).bit_length()
-    sigmas = []
+    mu = max(float(x.max()), -float(x.min()))
+    r = x
+    res = np.empty_like(x)
+    q = np.empty_like(x)
     parts = []
-    while len(parts) < _SUM_PASSES:
+    for _ in range(_SUM_PASSES):
         e = m + math.frexp(mu)[1]
         if not (math.isfinite(mu) and -1000 < e < 1000):
             return None
-        if len(starts) == 1:
-            replay, new = [], [e]
-        else:
-            replay, new = sigmas, [e, m + e - 53][:_SUM_PASSES - len(parts)]
-        levels = replay + [math.ldexp(1.0, k) for k in new]
-        new_parts = [0.0] * len(new)
-        new_mus = [0.0] * len(new)
-        for start in starts:
-            r = res if parts and len(starts) == 1 else block(start)
-            for i, sigma in enumerate(levels, -len(replay)):
+        sigma = math.ldexp(1.0, e)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        parts.append(float(q.sum()))
+        r = np.subtract(r, q, out=res)
+        mu = max(float(r.max()), -float(r.min()))
+        total = _settled(parts, mu, m)
+        if total is not None or mu == 0.0:
+            return total
+    return None
+
+
+def _replayed_sum(x: np.ndarray, ys: list, op) -> Optional[float]:
+    """``_fsum``'s passes over many blocks, of x or of ``op(x, *ys)``,
+    keeping no residual: pass k carries each block through the k - 1
+    levels already settled again and extracts level k, so every level
+    takes the sigma a pass over the whole array would.  None where the
+    passes leave the sum unresolved."""
+    res = np.empty(_SUM_BLOCK)
+    q = np.empty(_SUM_BLOCK)
+
+    def blocks():
+        for start in range(0, x.size, _SUM_BLOCK):
+            xb = x[start:start + _SUM_BLOCK]
+            if op is not None:
+                xb = op(xb, *(y[start:start + _SUM_BLOCK] for y in ys), out=res[:xb.size])
+            yield xb
+
+    m = (x.size + 1).bit_length()
+    mu = max(max(float(b.max()), -float(b.min())) for b in blocks())
+    sigmas = []
+    parts = []
+    for _ in range(_SUM_PASSES):
+        e = m + math.frexp(mu)[1]
+        if not (math.isfinite(mu) and -1000 < e < 1000):
+            return None
+        sigmas.append(math.ldexp(1.0, e))
+        part = mu = 0.0
+        for r in blocks():
+            for sigma in sigmas:
                 qb = np.add(r, sigma, out=q[:r.size])
                 qb -= sigma
                 r = np.subtract(r, qb, out=res[:r.size])
-                if i >= 0:
-                    new_parts[i] += float(qb.sum())
-                    new_mus[i] = max(new_mus[i], float(r.max()), -float(r.min()))
-        for k, part, mu_k in zip(new, new_parts, new_mus):
-            if k != m + math.frexp(mu)[1] or not -1000 < k < 1000:
-                break  # a guess the measured residual does not confirm
-            sigmas.append(math.ldexp(1.0, k))
-            parts.append(part)
-            mu = mu_k
-            bound = math.ldexp(mu, m)
-            low = math.fsum(parts + [-bound])
-            if low != 0.0 and low == math.fsum(parts + [bound]):
-                return low
-            if bound == 0.0:
-                return None
+            part += float(qb.sum())
+            mu = max(mu, float(r.max()), -float(r.min()))
+        parts.append(part)
+        total = _settled(parts, mu, m)
+        if total is not None or mu == 0.0:
+            return total
     return None
 
 
@@ -380,17 +389,22 @@ def rescale_mode(A: Tensor, target, mode: int) -> Tensor:
     return Tensor._adopt(A.data * factor.reshape(_axis_shape(A.d, mode, A.n)))
 
 
-def _scaled(data: np.ndarray, X: np.ndarray, zeros=None) -> np.ndarray:
+def _scaled(data: np.ndarray, X: np.ndarray, zeros=None, mass=None) -> np.ndarray:
     """data * exp(sum_j X[j, i_j]) in one new array, exactly 0 where ``zeros``
     is set; exponents are unconstrained on zero cells and may overflow there
-    harmlessly."""
+    harmlessly.  With ``mass``, data / mass takes the place of data, formed
+    a block of leading-axis slabs at a time."""
     d, n = X.shape
     E = X[0].reshape(_axis_shape(d, 0, n))
     for j in range(1, d):
         E = E + X[j].reshape(_axis_shape(d, j, n))
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.exp(E, out=E if d > 1 else None)
-        out *= data
+        if mass is None:
+            out *= data
+        else:
+            for rows in _row_blocks(n, data.size // n):
+                out[rows] *= data[rows] / mass
     if zeros is not None:
         out[zeros] = 0.0
     return out

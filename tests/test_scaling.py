@@ -438,14 +438,15 @@ class TestIncrementalStep:
         P = random_marginals(rng, 3, 4)
         return exp_neg_scaled(C, 30.0), P, SinkhornConfig(epsilon=1e-4)
 
-    def test_rebuilds_hold_two_iterate_sized_arrays(self, rng):
-        # the normalized input and one iterate: a rebuild frees the old
-        # iterate before it builds the new one in place
+    def test_rebuilds_hold_one_iterate_sized_array(self, rng):
+        # the run keeps the caller's input and one iterate, never the
+        # normalized input whole: a rebuild frees the old iterate, then
+        # builds the new one in place from the input divided by blocks
         A = exp_neg_scaled(random_cost(rng, 4, 24), 50.0)
         P = random_marginals(rng, 4, 24)
         (_, _, trace), peak = traced_peak(sinkhorn_scale, A, P, SinkhornConfig(epsilon=1e-4))
         assert trace.rematerializations >= 1
-        assert peak <= 2.2 * A.data.nbytes
+        assert peak <= 1.25 * A.data.nbytes
 
     def test_scaled_runs_only_for_counted_rebuilds(self, rng, monkeypatch):
         calls = []
@@ -551,8 +552,8 @@ class TestIncrementalStep:
         real = scaling._scaled
         calls = []
 
-        def spoiled_once(data, X, zeros=None):
-            out = real(data, X, zeros)
+        def spoiled_once(*args):
+            out = real(*args)
             calls.append(1)
             if len(calls) == 1:
                 out[0] *= 3.0

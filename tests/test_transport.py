@@ -19,6 +19,7 @@ from tensorot import (
     outer,
     solve_exact_tot,
 )
+from tensorot import transport
 from tensorot.transport import _lower_bound
 
 from conftest import max_marginal_gap, random_cost, random_marginals, traced_peak
@@ -323,11 +324,27 @@ class TestMemory:
     """Peaks of new allocations at (4,24), as multiples of the cost's bytes."""
 
     def test_approx_tot_holds_at_most_three_cost_sized_arrays(self, rng):
-        # the check holds the scaling's normalized kernel, its iterate and the
-        # rounded plan; sums, products and the rank-one correction go by blocks
+        # the check holds the kernel, the iterate and the rounded plan; sums,
+        # products and the rank-one correction go by blocks
         C, P = random_cost(rng, 4, 24), random_marginals(rng, 4, 24)
-        (plan, cert), peak = traced_peak(approx_tot, C, P, 0.05)
+        (_, cert), peak = traced_peak(approx_tot, C, P, 0.05)
         assert cert.k_stop >= 8
+        assert peak <= 3.5 * C.data.nbytes
+
+    def test_the_bound_holds_while_a_caller_keeps_the_kernel(self, rng, monkeypatch):
+        # a wrapper of sinkhorn_scale, or the calling frame itself, may keep
+        # the kernel alive until the scaling returns
+        real = transport.sinkhorn_scale
+        calls = []
+
+        def holding(*args, **kwargs):
+            calls.append(args[0].n)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "sinkhorn_scale", holding)
+        C, P = random_cost(rng, 4, 24), random_marginals(rng, 4, 24)
+        (_, cert), peak = traced_peak(approx_tot, C, P, 0.05)
+        assert calls == [24] and cert.k_stop >= 8
         assert peak <= 3.5 * C.data.nbytes
 
     def test_kernel_build_holds_two_cost_sized_arrays(self, rng):
