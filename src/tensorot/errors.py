@@ -12,11 +12,9 @@ class DegenerateSliceError(ContractViolation):
 class NonConvergenceError(RuntimeError):
     """The iteration cap was hit before the stopping rule fired.
 
-    Carries the partial iteration trace (and, for the end-to-end solver,
-    the parameters that were in effect) so callers can inspect the run.
+    Carries the iteration trace up to the cap, so callers can inspect the run.
     """
 
-    def __init__(self, message, trace=None, partial=None):
+    def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
-        self.partial = partial

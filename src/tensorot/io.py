@@ -62,7 +62,7 @@ def load_tensor(path) -> Tensor:
 
 def save_tensor(A: Tensor, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(A.to_dict(), fh)
+        json.dump({"d": A.d, "n": A.n, "data": A.data.ravel().tolist()}, fh)
         fh.write("\n")
 
 
@@ -74,12 +74,12 @@ def load_marginals(path) -> MarginalFamily:
     if not (_is_numbers(p) or isinstance(p, list) and all(map(_is_numbers, p))):
         raise FileFormatError(f"{path}: field 'p' must hold lists of numbers")
     try:
-        return MarginalFamily.from_dict(obj)
+        return MarginalFamily(p)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{path}: field 'p' is malformed ({exc})") from exc
 
 
 def save_marginals(P: MarginalFamily, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(P.to_dict(), fh)
+        json.dump({"p": P.p.tolist()}, fh)
         fh.write("\n")

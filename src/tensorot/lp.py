@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolation
-from .tensor import MarginalFamily, Tensor, _check_family, inner
+from .tensor import MarginalFamily, Tensor, _check_family, _outer_sum, inner
 
 __all__ = [
     "SimplexResult",
@@ -61,7 +61,6 @@ __all__ = [
     "transport_constraints",
     "solve_exact_tot",
     "scalability_check",
-    "size_cap",
 ]
 
 DEFAULT_CAP = 100_000
@@ -82,15 +81,12 @@ _WALK_CHUNK = 1024
 _COST_EXP = 10
 
 
-def size_cap(cap: Optional[int] = None) -> int:
-    """Effective variable-count cap (argument, else environment, else default)."""
-    if cap is not None:
-        return cap
-    return int(os.environ.get(CAP_ENV_VAR, DEFAULT_CAP))
-
-
-def _check_cap(A: Tensor, cap: Optional[int]) -> None:
-    limit = size_cap(cap)
+def _check_cap(A: Tensor) -> None:
+    """Refuse more variables than ``TENSOROT_LP_CAP``, read at each call."""
+    raw = os.environ.get(CAP_ENV_VAR, str(DEFAULT_CAP))
+    limit = int(raw) if raw.isdecimal() else 0
+    if limit < 1:
+        raise ContractViolation(f"{CAP_ENV_VAR} must be a positive integer, got {raw!r}")
     if A.size > limit:
         raise ContractViolation(f"problem has {A.size} variables, above the solver cap {limit}")
 
@@ -325,9 +321,7 @@ class _TransportColumns:
         zeros between them."""
         Y = np.zeros((self.d, self.n))
         Y[self._kept] = y[self._rows]
-        out = Y[0].copy()
-        for j in range(1, self.d):
-            out = out[..., None] + Y[j]
+        out = _outer_sum(Y)
         out += y[-1]
         return out.ravel()
 
@@ -383,14 +377,14 @@ def _greedy_cells(C: np.ndarray, P: MarginalFamily) -> np.ndarray:
     return np.array(cells, dtype=np.intp)
 
 
-def solve_exact_tot(C: Tensor, P: MarginalFamily, cap: Optional[int] = None) -> ExactSolution:
+def solve_exact_tot(C: Tensor, P: MarginalFamily) -> ExactSolution:
     """Vertex-optimal plan and exact objective of the transport LP.
 
     The simplex starts from the cells of the greedy min-cost plan
     (``_greedy_cells``) crashed into the artificial basis.
     """
     _check_family(C, P)
-    _check_cap(C, cap)
+    _check_cap(C)
     try:
         res = simplex_minimize(C.data.ravel(), _TransportColumns(P.d, P.n), _transport_rhs(P),
                                start=_greedy_cells(C.data, P))
@@ -401,7 +395,7 @@ def solve_exact_tot(C: Tensor, P: MarginalFamily, cap: Optional[int] = None) -> 
     return ExactSolution(plan=plan, value=value, duals=res.duals, iterations=res.iterations)
 
 
-def scalability_check(A: Tensor, P: MarginalFamily, cap: Optional[int] = None) -> bool:
+def scalability_check(A: Tensor, P: MarginalFamily) -> bool:
     """Can some feasible plan carry exactly the zero pattern of A?
 
     Solves max t over the polytope restricted to the support, with every
@@ -410,7 +404,7 @@ def scalability_check(A: Tensor, P: MarginalFamily, cap: Optional[int] = None) -
     """
     _check_family(A, P)
     A.require_nonnegative("pattern tensor")
-    _check_cap(A, cap)
+    _check_cap(A)
     support = np.nonzero(A.data.ravel() > 0)[0]
     if support.size == 0:
         return False

@@ -77,7 +77,7 @@ class SinkhornConfig:
     """Stopping threshold in [``_EPSILON_FLOOR``, 1/2) and safety cap for one run."""
 
     epsilon: float
-    max_iter: Optional[int] = None
+    max_iter: Optional[int] = None  # settable so that tests reach the cap in a few steps
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 0.5:

@@ -239,13 +239,6 @@ class Tensor:
             raise ContractViolation("tensor has no positive entries")
         return float(pos.min())
 
-    def to_dict(self) -> dict:
-        return {"d": self.d, "n": self.n, "data": self.data.ravel().tolist()}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Tensor":
-        return cls.from_flat(int(obj["d"]), int(obj["n"]), obj["data"])
-
     def __repr__(self) -> str:
         return f"Tensor(d={self.d}, n={self.n})"
 
@@ -300,13 +293,6 @@ class MarginalFamily:
             raise ContractViolation(
                 f"marginals must be probability vectors (mass 1), got mass {self.h!r}"
             )
-
-    def to_dict(self) -> dict:
-        return {"p": [row.tolist() for row in self.p]}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "MarginalFamily":
-        return cls(obj["p"])
 
     def __repr__(self) -> str:
         return f"MarginalFamily(d={self.d}, n={self.n}, h={self.h})"
@@ -389,17 +375,23 @@ def rescale_mode(A: Tensor, target, mode: int) -> Tensor:
     return Tensor._adopt(A.data * factor.reshape(_axis_shape(A.d, mode, A.n)))
 
 
+def _outer_sum(rows) -> np.ndarray:
+    """New ``(n,)*d`` array of ``0 + rows[0][i_0] + ... + rows[d-1][i_{d-1}]``, in that order."""
+    out = np.zeros(())
+    for row in rows:
+        out = out[..., None] + row
+    return out
+
+
 def _scaled(data: np.ndarray, X: np.ndarray, zeros=None, mass=None) -> np.ndarray:
     """data * exp(sum_j X[j, i_j]) in one new array, exactly 0 where ``zeros``
     is set; exponents are unconstrained on zero cells and may overflow there
     harmlessly.  With ``mass``, data / mass takes the place of data, formed
     a block of leading-axis slabs at a time."""
-    d, n = X.shape
-    E = X[0].reshape(_axis_shape(d, 0, n))
-    for j in range(1, d):
-        E = E + X[j].reshape(_axis_shape(d, j, n))
+    n = X.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(E, out=E if d > 1 else None)
+        out = _outer_sum(X)
+        np.exp(out, out=out)
         if mass is None:
             out *= data
         else:

@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonConvergenceError
 from .rounding import round_to_polytope
 from .scaling import SinkhornConfig, SinkhornTrace, sinkhorn_scale
 from .tensor import (
@@ -30,6 +29,7 @@ from .tensor import (
     _check_family,
     _entropy,
     _fsum,
+    _outer_sum,
     _row_blocks,
     _spread,
     exp_neg_scaled,
@@ -82,9 +82,7 @@ class TotCertificate:
     epsilon: Optional[float]
     k_stop: int
     movement_l1: float
-    omega: float  # spread max - min of the cost
     eta: Optional[float]  # smallest kernel entry
-    shift: float  # subtracted cost minimum
     theoretical_error: float  # entropic bias + rounding slack, <= delta by policy
     stop: str  # "certified" or "residual"; not in as_dict
 
@@ -141,9 +139,8 @@ def _lower_bound(C: Tensor, P: MarginalFamily, X: np.ndarray, lam: float) -> flo
     normalization, drops out.
     """
     Y = X / lam
-    tail = np.zeros(1)  # sum_{j>0} y_j[i_j], flat over (i_1, ..., i_{d-1})
-    for y in Y[1:]:
-        tail = (tail[:, None] + y).ravel()
+    # sum_{j>0} y_j[i_j], flat over (i_1, ..., i_{d-1})
+    tail = _outer_sum(Y[1:]).ravel()
     costs = C.data.reshape(C.n, -1)
     for rows in _row_blocks(C.n, tail.size):
         Y[0, rows] = (costs[rows] - tail).min(axis=1)
@@ -156,7 +153,6 @@ def approx_tot(
     delta: float,
     lam: Optional[float] = None,
     epsilon: Optional[float] = None,
-    max_iter: Optional[int] = None,
     trace_out=None,
 ) -> tuple[Tensor, TotCertificate]:
     """Feasible plan whose cost is within delta of the transport optimum.
@@ -184,7 +180,7 @@ def approx_tot(
         cert = TotCertificate(
             value=value, bracket_low=value,
             delta=delta, lam=None, epsilon=None, k_stop=0,
-            movement_l1=0.0, omega=0.0, eta=None, shift=shift,
+            movement_l1=0.0, eta=None,
             theoretical_error=0.0, stop="certified")
         return plan, cert
 
@@ -205,20 +201,12 @@ def approx_tot(
         certified.append((plan, low, value))
         return True
 
-    cfg = SinkhornConfig(epsilon=eps_eff, max_iter=max_iter)
-    try:
-        # no reference outlives its call: the shifted cost is dropped once
-        # the kernel is built (the checks read C; the c-transform takes the
-        # shift into y_0), and the kernel once the scaling returns
-        iterate, X, trace = sinkhorn_scale(
-            exp_neg_scaled(Tensor._adopt(C.data - shift), lam_eff), P, cfg, certify=certify)
-    except NonConvergenceError as exc:
-        exc.partial = {
-            "delta": delta, "lambda": lam_eff, "epsilon": eps_eff,
-            "omega": omega, "shift": shift,
-            "k_reached": len(exc.trace.records) if exc.trace else None,
-        }
-        raise
+    # no reference outlives its call: the shifted cost is dropped once the
+    # kernel is built (the checks read C; the c-transform takes the shift
+    # into y_0), and the kernel once the scaling returns
+    iterate, X, trace = sinkhorn_scale(
+        exp_neg_scaled(Tensor._adopt(C.data - shift), lam_eff), P,
+        SinkhornConfig(epsilon=eps_eff), certify=certify)
     if trace_out is not None:
         trace.write_jsonl(trace_out)
     plan, low, value = certified[0] if certified else bracket(iterate, X)
@@ -227,7 +215,7 @@ def approx_tot(
         value=value, bracket_low=min(low, value),
         delta=delta, lam=lam_eff, epsilon=eps_eff,
         k_stop=trace.k_stop, movement_l1=l1_distance(plan, iterate),
-        omega=omega, eta=trace.eta, shift=shift,
+        eta=trace.eta,
         theoretical_error=d * math.log(n) / lam_eff + 8.0 * d * omega * eps_eff,
         stop=trace.stop)
     return plan, cert

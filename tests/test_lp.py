@@ -14,12 +14,15 @@ from tensorot import (
     inner,
     lift_ground_metric,
     outer,
+    save_marginals,
+    save_tensor,
     scalability_check,
     simplex_minimize,
     solve_exact_tot,
     transport_constraints,
 )
 from tensorot import lp
+from tensorot.cli import run
 from tensorot.lp import CAP_ENV_VAR
 
 from conftest import feasible_plan, max_marginal_gap, random_cost, random_marginals
@@ -287,11 +290,30 @@ class TestSolveExact:
     def test_cap(self, rng, monkeypatch):
         C = random_cost(rng, 3, 3)
         P = random_marginals(rng, 3, 3)
-        with pytest.raises(ContractViolation):
-            solve_exact_tot(C, P, cap=10)
         monkeypatch.setenv(CAP_ENV_VAR, "10")
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="above the solver cap 10"):
             solve_exact_tot(C, P)
+        with pytest.raises(ContractViolation, match="above the solver cap 10"):
+            scalability_check(C, P)
+        monkeypatch.setenv(CAP_ENV_VAR, "27")
+        assert solve_exact_tot(C, P).plan.size == 27
+
+    @pytest.mark.parametrize("raw", ["abc", "1e3", "0", "-5", ""])
+    def test_malformed_cap(self, rng, monkeypatch, tmp_path, capsys, raw):
+        C = random_cost(rng, 2, 3)
+        P = random_marginals(rng, 2, 3)
+        monkeypatch.setenv(CAP_ENV_VAR, raw)
+        for solve in (solve_exact_tot, scalability_check):
+            with pytest.raises(ContractViolation, match=CAP_ENV_VAR):
+                solve(C, P)
+        save_tensor(C, tmp_path / "c.json")
+        save_marginals(P, tmp_path / "p.json")
+        for command, flag in (("solve-exact", "--cost"), ("scalable", "--tensor")):
+            code = run([command, flag, str(tmp_path / "c.json"),
+                        "--marginals", str(tmp_path / "p.json")])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert CAP_ENV_VAR in captured.err
 
 
 def _greedy_loop(C, P):

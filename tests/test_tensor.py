@@ -591,6 +591,16 @@ class TestFileFormats:
         Q = load_marginals(path)
         assert np.array_equal(P.p, Q.p)
 
+    def test_written_bytes(self, tmp_path):
+        save_tensor(Tensor([[0.1, 2.0], [-3.0, 1e-300]]), tmp_path / "a.json")
+        assert (tmp_path / "a.json").read_bytes() == (
+            b'{"d": 2, "n": 2, "data": [0.1, 2.0, -3.0, 1e-300]}\n')
+        save_marginals(MarginalFamily([[1 / 3, 2 / 3], [0.5, 0.5]]), tmp_path / "p.json")
+        assert (tmp_path / "p.json").read_bytes() == (
+            b'{"p": [[0.3333333333333333, 0.6666666666666666], [0.5, 0.5]]}\n')
+        save_marginals(MarginalFamily([0.25, 0.75]), tmp_path / "q.json")
+        assert (tmp_path / "q.json").read_bytes() == b'{"p": [[0.25, 0.75]]}\n'
+
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"d": 2, "data": [1.0] * 4}))

@@ -1,6 +1,7 @@
 """Entropic relaxation and the delta-approximation pipeline."""
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -20,6 +21,7 @@ from tensorot import (
     solve_exact_tot,
 )
 from tensorot import transport
+from tensorot.scaling import SinkhornConfig
 from tensorot.transport import _lower_bound
 
 from conftest import max_marginal_gap, random_cost, random_marginals, traced_peak
@@ -164,15 +166,17 @@ class TestApproxTot:
         with pytest.raises(ContractViolation):
             approx_tot(swap_cost(), P, delta=0.1)
 
-    def test_nonconvergence_carries_partial(self, rng):
+    def test_nonconvergence_carries_partial(self, rng, monkeypatch):
         from tensorot import NonConvergenceError
 
         C = random_cost(rng, 2, 3)
         P = random_marginals(rng, 2, 3)
+        monkeypatch.setattr(transport, "SinkhornConfig",
+                            functools.partial(SinkhornConfig, max_iter=1))
         with pytest.raises(NonConvergenceError) as err:
-            approx_tot(C, P, delta=0.05, max_iter=1)
-        assert err.value.partial["delta"] == 0.05
+            approx_tot(C, P, delta=0.05)
         assert err.value.trace is not None
+        assert [r.k for r in err.value.trace.records] == [0]
 
     @pytest.mark.parametrize("seed", [0, 2, 3])
     def test_subnormal_kernel_minimum(self, seed):
