@@ -104,10 +104,15 @@ def _triangle_slack(D: np.ndarray) -> np.ndarray:
 
 
 def check_distance_matrix(D) -> DistanceCheck:
-    """Zero diagonal, symmetry, positive off-diagonal, all triangle inequalities."""
+    """Finite entries, zero diagonal, symmetry, positive off-diagonal, all
+    triangle inequalities."""
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValueError("expected a square matrix")
+    bad = ~np.isfinite(D)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), D.shape)
+        return DistanceCheck(False, f"non-finite entry at ({i}, {j})")
     size = D.shape[0]
     diag = np.abs(np.diag(D))
     if diag.max(initial=0.0) > _ATOL:

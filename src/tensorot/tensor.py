@@ -7,8 +7,9 @@ log domain, inner products, entropy, and outer products of marginal
 vectors.
 
 Scalar reductions over all ``n**d`` cells are correctly rounded: they
-return exactly what ``math.fsum`` returns on the same entries, bit for bit,
-but large inputs are summed in a few numpy passes over cache-sized blocks
+return exactly what ``math.fsum`` returns on the same entries, bit for bit.
+Two paths compute them: up to 1,024 entries go to ``math.fsum`` as a list,
+and larger inputs are summed in a few numpy passes over cache-sized blocks
 instead of one Python float per cell.  A pass keeps no array of the
 input's size, and a sum of products, differences or entropy terms forms
 them one block at a time.  Vector-valued marginals use numpy's pairwise
@@ -58,15 +59,18 @@ def _fsum(values, *others, op=None) -> float:
     larger one one block at a time, so no array of the full size is
     formed.
 
-    Error-free vector extraction (Rump, Ogita & Oishi, "Accurate
-    floating-point summation, Part I", SISC 2008): with ``2**m >= size + 2``
-    and ``sigma = 2**(m + e)`` for a residual bounded by ``2**e``, each
-    ``q = (sigma + r) - sigma`` and ``r - q`` are exact and so is any sum of
-    the ``q``.  After each pass the exact total lies within
-    ``2**m * max|r|`` of the extracted parts; once ``math.fsum`` rounds both
-    ends of that interval to one float, that float is the correctly rounded
-    total.  Non-finite entries, extreme exponents, zero totals and
-    unresolved intervals fall back to ``math.fsum`` itself, which keeps its
+    Two paths: at most ``_SHORT_SUM`` entries go to ``math.fsum`` as a
+    list, and more to ``_replayed_sum``'s passes, whether they fill one
+    block or many.  The passes use error-free vector extraction (Rump,
+    Ogita & Oishi, "Accurate floating-point summation, Part I", SISC 2008):
+    with ``2**m >= size + 2`` and ``sigma = 2**(m + e)`` for a residual
+    bounded by ``2**e``, each ``q = (sigma + r) - sigma`` and ``r - q`` are
+    exact and so is any sum of the ``q``.  After each pass the exact total
+    lies within ``2**m * max|r|`` of the extracted parts; once
+    ``math.fsum`` rounds both ends of that interval to one float, that
+    float is the correctly rounded total.  Non-finite entries, extreme
+    exponents, zero totals and unresolved intervals fall back to
+    ``math.fsum`` itself, which keeps its
     ``inf``/``nan``/``OverflowError``/``ValueError`` behaviour and the sign
     of a zero.
     """
@@ -76,13 +80,10 @@ def _fsum(values, *others, op=None) -> float:
     x = x.ravel()
     if x.size <= _SHORT_SUM:
         return math.fsum(x.tolist())
-    if x.size <= _SUM_BLOCK:
-        total = _resident_sum(x)
-    else:
-        ys = [np.ravel(y) for y in others]
-        total = _replayed_sum(x, ys, op)
-        if total is None and op is not None:
-            x = op(x, *ys)
+    ys = [np.ravel(y) for y in others]
+    total = _replayed_sum(x, ys, op)
+    if total is None and op is not None:
+        x = op(x, *ys)
     return math.fsum(x.tolist()) if total is None else total
 
 
@@ -93,39 +94,14 @@ def _settled(parts: list, mu: float, m: int) -> Optional[float]:
     return low if low != 0.0 and low == math.fsum(parts + [bound]) else None
 
 
-def _resident_sum(x: np.ndarray) -> Optional[float]:
-    """``_fsum``'s passes over one block, which keeps its residual from
-    pass to pass; None where they leave the sum unresolved."""
-    m = (x.size + 1).bit_length()
-    mu = max(float(x.max()), -float(x.min()))
-    r = x
-    res = np.empty_like(x)
-    q = np.empty_like(x)
-    parts = []
-    for _ in range(_SUM_PASSES):
-        e = m + math.frexp(mu)[1]
-        if not (math.isfinite(mu) and -1000 < e < 1000):
-            return None
-        sigma = math.ldexp(1.0, e)
-        np.add(r, sigma, out=q)
-        q -= sigma
-        parts.append(float(q.sum()))
-        r = np.subtract(r, q, out=res)
-        mu = max(float(r.max()), -float(r.min()))
-        total = _settled(parts, mu, m)
-        if total is not None or mu == 0.0:
-            return total
-    return None
-
-
 def _replayed_sum(x: np.ndarray, ys: list, op) -> Optional[float]:
-    """``_fsum``'s passes over many blocks, of x or of ``op(x, *ys)``,
+    """``_fsum``'s passes over one block or many, of x or of ``op(x, *ys)``,
     keeping no residual: pass k carries each block through the k - 1
     levels already settled again and extracts level k, so every level
     takes the sigma a pass over the whole array would.  None where the
     passes leave the sum unresolved."""
-    res = np.empty(_SUM_BLOCK)
-    q = np.empty(_SUM_BLOCK)
+    res = np.empty(min(x.size, _SUM_BLOCK))
+    q = np.empty_like(res)
 
     def blocks():
         for start in range(0, x.size, _SUM_BLOCK):
@@ -190,8 +166,9 @@ class Tensor:
         return self
 
     def _freeze(self, arr: np.ndarray) -> None:
-        if arr.ndim < 1 or arr.shape != arr.shape[:1] * arr.ndim:
-            raise ValueError(f"a tensor needs d >= 1 modes of one side length, got {arr.shape}")
+        if arr.ndim < 1 or arr.size == 0 or arr.shape != arr.shape[:1] * arr.ndim:
+            raise ValueError(
+                f"a tensor needs d >= 1 modes of one side length n >= 1, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ContractViolation("tensor entries must be finite")
         arr.setflags(write=False)
@@ -258,6 +235,9 @@ class MarginalFamily:
             p = p[None, :]
         if p.ndim != 2:
             raise ValueError("expected d vectors of a common length n")
+        if p.size == 0:
+            raise ContractViolation(
+                f"a marginal family needs d >= 1 vectors of length n >= 1, got {p.shape}")
         if np.any(p <= 0) or not np.isfinite(p).all():
             raise ContractViolation("marginal vectors must be strictly positive and finite")
         masses = [_fsum(row) for row in p]

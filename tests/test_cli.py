@@ -270,10 +270,11 @@ class TestExitCodes:
         assert "contract" in capsys.readouterr().err
 
     @pytest.mark.parametrize("weights", ["[[NaN, 0.5], [0.5, 0.5]]", "[[-0.5, 1.5], [0.5, 0.5]]",
-                                         "[[0.0, 1.0], [0.5, 0.5]]", "[[0.5, 0.5], [1.0, 1.0]]"])
+                                         "[[0.0, 1.0], [0.5, 0.5]]", "[[0.5, 0.5], [1.0, 1.0]]",
+                                         "[]"])
     def test_marginals_breaking_the_contract_are_two(self, tmp_path, capsys, weights):
         # well-typed weights that no MarginalFamily holds: a NaN, a negative
-        # or zero weight, unequal masses
+        # or zero weight, unequal masses, no weights at all
         save_tensor(Tensor([[0.0, 1.0], [1.0, 0.0]]), tmp_path / "c.json")
         (tmp_path / "p.json").write_text(f'{{"p": {weights}}}')
         code = run(["solve-exact", "--cost", str(tmp_path / "c.json"),

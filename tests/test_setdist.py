@@ -87,6 +87,18 @@ class TestDistanceMatrixCheck:
         D = np.array([[0.0, 1.0], [2.0, 0.0]])
         assert check_distance_matrix(D).violation == "asymmetry at (0, 1): 1.0 vs 2.0"
 
+    @pytest.mark.parametrize("D, where", [
+        ([[0.0, np.nan], [np.nan, 0.0]], "(0, 1)"),
+        ([[0.0, np.inf], [np.inf, 0.0]], "(0, 1)"),
+        ([[np.nan]], "(0, 0)"),
+    ], ids=["nan", "inf", "1x1-nan"])
+    def test_non_finite_entries(self, D, where):
+        # every comparison with NaN is false, so the other axioms pass it
+        check = check_distance_matrix(D)
+        assert (check.ok, check.violation) == (False, f"non-finite entry at {where}")
+        with pytest.raises(ValueError, match=r"ground metric is invalid: non-finite entry"):
+            lift_ground_metric(D, 2)
+
     def test_slack_matches_full_broadcast(self, rng):
         for size in (1, 4, 7, 13):
             D = rng.random((size, size))

@@ -43,6 +43,11 @@ class TestTensorType:
         with pytest.raises(ValueError):
             Tensor(np.float64(3.0))
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 0)])
+    def test_rejects_empty(self, shape):
+        with pytest.raises(ValueError, match="n >= 1"):
+            Tensor(np.zeros(shape))
+
     def test_immutable(self):
         A = Tensor([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises((ValueError, AttributeError)):
@@ -100,6 +105,11 @@ class TestMarginalFamily:
     def test_rejects_unequal_masses(self):
         with pytest.raises(ContractViolation):
             MarginalFamily([[0.5, 0.5], [0.7, 0.4]])
+
+    @pytest.mark.parametrize("vectors", [[], [[]], np.zeros((0, 3))], ids=["[]", "[[]]", "0x3"])
+    def test_rejects_empty(self, vectors):
+        with pytest.raises(ContractViolation, match="n >= 1"):
+            MarginalFamily(vectors)
 
     def test_mass(self):
         P = MarginalFamily([[0.6, 0.4], [0.5, 0.5]])
