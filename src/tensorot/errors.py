@@ -10,9 +10,10 @@ class DegenerateSliceError(ContractViolation):
 
 
 class NonConvergenceError(RuntimeError):
-    """The iteration cap was hit before the stopping rule fired.
+    """The iteration cap was hit, or the iterate stopped being finite,
+    before the stopping rule fired.
 
-    Carries the iteration trace up to the cap, so callers can inspect the run.
+    Carries the iteration trace up to that point, so callers can inspect the run.
     """
 
     def __init__(self, message, trace=None):

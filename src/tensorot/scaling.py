@@ -345,8 +345,9 @@ def sinkhorn_scale(
     test ended the run.  Without ``certify`` no check step exists.
 
     Raises :class:`NonConvergenceError` (carrying the trace) if the cap on
-    iterations is hit; for a tensor with zeros that usually means the
-    input is not scalable to the polytope.
+    iterations is hit or the iterate's marginals stop being finite; for a
+    tensor with zeros that usually means the input is not scalable to the
+    polytope.
     """
     P.require_probability()
     _check_family(A, P)
@@ -384,6 +385,13 @@ def sinkhorn_scale(
     rebuilt = True
     k = 0
     while True:
+        total = float(S[0].sum())
+        if not math.isfinite(total):
+            # an overflowed marginal would only turn the residuals into NaN
+            raise NonConvergenceError(
+                f"the iterate's marginals are not finite at scaling step {k} "
+                f"(epsilon={cfg.epsilon}); the input may not be scalable to the "
+                "target polytope", trace=trace)
         norms = _residual_norms(S, P, bases, p_sq)
         worst = float(norms.max())
         if not rebuilt and (worst < cfg.epsilon or k % _REBUILD_STEPS == 0 or k == check_at):
@@ -395,7 +403,7 @@ def sinkhorn_scale(
             S, rebuilt = fresh, True
             continue
         mode = int(np.argmax(norms))
-        g_val = float(S[0].sum()) - float(PX.sum())
+        g_val = total - float(PX.sum())
         if worst < cfg.epsilon:
             trace.stop = "residual"
             iterate = Tensor._adopt(current)

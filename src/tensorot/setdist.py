@@ -107,8 +107,8 @@ def check_distance_matrix(D) -> DistanceCheck:
     """Finite entries, zero diagonal, symmetry, positive off-diagonal, all
     triangle inequalities."""
     D = np.asarray(D, dtype=float)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        raise ValueError("expected a square matrix")
+    if D.ndim != 2 or D.shape[0] != D.shape[1] or D.size == 0:
+        raise ValueError(f"expected a square matrix of size >= 1, got shape {D.shape}")
     bad = ~np.isfinite(D)
     if bad.any():
         i, j = np.unravel_index(np.argmax(bad), D.shape)

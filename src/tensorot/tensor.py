@@ -9,11 +9,13 @@ vectors.
 Scalar reductions over all ``n**d`` cells are correctly rounded: they
 return exactly what ``math.fsum`` returns on the same entries, bit for bit.
 Two paths compute them: up to 1,024 entries go to ``math.fsum`` as a list,
-and larger inputs are summed in a few numpy passes over cache-sized blocks
-instead of one Python float per cell.  A pass keeps no array of the
-input's size, and a sum of products, differences or entropy terms forms
-them one block at a time.  Vector-valued marginals use numpy's pairwise
-reduction, which is deterministic for a fixed shape.
+and larger inputs are summed in one numpy pass over cache-sized blocks
+instead of one Python float per cell.  Each block extracts its few exact
+levels while it is in cache, and one interval test over all of them
+settles the total.  The pass keeps no array of the input's size, and a
+sum of products, differences or entropy terms forms them one block at a
+time.  Vector-valued marginals use numpy's pairwise reduction, which is
+deterministic for a fixed shape.
 """
 
 from __future__ import annotations
@@ -43,11 +45,11 @@ __all__ = [
 
 MASS_RTOL = 1e-12
 
-# Up to this many entries math.fsum over a list is cheaper than the passes.
+# Up to this many entries math.fsum over a list is cheaper than the pass.
 _SHORT_SUM = 1024
-# Entries per block of a pass: the block and its residual stay in cache.
+# Entries per block of the pass: the block and its residual stay in cache.
 _SUM_BLOCK = 32768
-_SUM_PASSES = 3
+_SUM_LEVELS = 3
 
 
 def _fsum(values, *others, op=None) -> float:
@@ -55,33 +57,34 @@ def _fsum(values, *others, op=None) -> float:
 
     With ``op``, sums the entries of ``op(values, *others)`` instead, for an
     elementwise function taking an ``out=`` array and operands of one
-    shape: an array of at most ``_SUM_BLOCK`` entries is mapped whole, a
-    larger one one block at a time, so no array of the full size is
-    formed.
+    shape; above ``_SHORT_SUM`` entries it is applied one block at a time,
+    so no array of the full size is formed.
 
     Two paths: at most ``_SHORT_SUM`` entries go to ``math.fsum`` as a
-    list, and more to ``_replayed_sum``'s passes, whether they fill one
-    block or many.  The passes use error-free vector extraction (Rump,
-    Ogita & Oishi, "Accurate floating-point summation, Part I", SISC 2008):
-    with ``2**m >= size + 2`` and ``sigma = 2**(m + e)`` for a residual
-    bounded by ``2**e``, each ``q = (sigma + r) - sigma`` and ``r - q`` are
-    exact and so is any sum of the ``q``.  After each pass the exact total
-    lies within ``2**m * max|r|`` of the extracted parts; once
-    ``math.fsum`` rounds both ends of that interval to one float, that
-    float is the correctly rounded total.  Non-finite entries, extreme
-    exponents, zero totals and unresolved intervals fall back to
+    list, and more to ``_blocked_sum``'s single pass over blocks of at
+    most ``_SUM_BLOCK`` entries.  The pass uses error-free vector
+    extraction (Rump, Ogita & Oishi, "Accurate floating-point summation,
+    Part I", SISC 2008): with ``2**m >= size + 2`` and ``sigma = 2**(m +
+    e)`` for a residual bounded by ``2**e``, each ``q = (sigma + r) -
+    sigma`` and ``r - q`` are exact and so is any sum of the ``q``.  Each
+    block extracts up to ``_SUM_LEVELS`` levels while it is in cache, each
+    with the sigma of its own largest residual.  The exact total then lies
+    within ``2**m * max|r|`` of the extracted parts; if ``math.fsum``
+    rounds both ends of that interval to one float, that float is the
+    correctly rounded total.  Non-finite entries, entries near the
+    overflow threshold, zero totals and unresolved intervals fall back to
     ``math.fsum`` itself, which keeps its
     ``inf``/``nan``/``OverflowError``/``ValueError`` behaviour and the sign
     of a zero.
     """
     x = np.asarray(values, dtype=float)
-    if op is not None and x.size <= _SUM_BLOCK:
-        x, op = op(x, *others), None
-    x = x.ravel()
     if x.size <= _SHORT_SUM:
-        return math.fsum(x.tolist())
+        if op is not None:
+            x = op(x, *others)
+        return math.fsum(x.ravel().tolist())
+    x = x.ravel()
     ys = [np.ravel(y) for y in others]
-    total = _replayed_sum(x, ys, op)
+    total = _blocked_sum(x, ys, op)
     if total is None and op is not None:
         x = op(x, *ys)
     return math.fsum(x.tolist()) if total is None else total
@@ -94,44 +97,35 @@ def _settled(parts: list, mu: float, m: int) -> Optional[float]:
     return low if low != 0.0 and low == math.fsum(parts + [bound]) else None
 
 
-def _replayed_sum(x: np.ndarray, ys: list, op) -> Optional[float]:
-    """``_fsum``'s passes over one block or many, of x or of ``op(x, *ys)``,
-    keeping no residual: pass k carries each block through the k - 1
-    levels already settled again and extracts level k, so every level
-    takes the sigma a pass over the whole array would.  None where the
-    passes leave the sum unresolved."""
+def _blocked_sum(x: np.ndarray, ys: list, op) -> Optional[float]:
+    """``_fsum``'s pass over x, or over ``op(x, *ys)``, one block at a
+    time; None where the sum is left unresolved."""
     res = np.empty(min(x.size, _SUM_BLOCK))
     q = np.empty_like(res)
-
-    def blocks():
-        for start in range(0, x.size, _SUM_BLOCK):
-            xb = x[start:start + _SUM_BLOCK]
-            if op is not None:
-                xb = op(xb, *(y[start:start + _SUM_BLOCK] for y in ys), out=res[:xb.size])
-            yield xb
-
     m = (x.size + 1).bit_length()
-    mu = max(max(float(b.max()), -float(b.min())) for b in blocks())
-    sigmas = []
     parts = []
-    for _ in range(_SUM_PASSES):
-        e = m + math.frexp(mu)[1]
-        if not (math.isfinite(mu) and -1000 < e < 1000):
-            return None
-        sigmas.append(math.ldexp(1.0, e))
-        part = mu = 0.0
-        for r in blocks():
-            for sigma in sigmas:
-                qb = np.add(r, sigma, out=q[:r.size])
-                qb -= sigma
-                r = np.subtract(r, qb, out=res[:r.size])
-            part += float(qb.sum())
-            mu = max(mu, float(r.max()), -float(r.min()))
-        parts.append(part)
-        total = _settled(parts, mu, m)
-        if total is not None or mu == 0.0:
-            return total
-    return None
+    mu = 0.0
+    for start in range(0, x.size, _SUM_BLOCK):
+        r = x[start:start + _SUM_BLOCK]
+        size = r.size
+        if op is not None:
+            r = op(r, *(y[start:start + _SUM_BLOCK] for y in ys), out=res[:size])
+        top = max(float(r.max()), -float(r.min()))
+        for _ in range(_SUM_LEVELS):
+            e = m + math.frexp(top)[1]
+            if not (math.isfinite(top) and e < 1000):
+                return None
+            # keep q clear of the subnormal range; the bound covers the rest
+            if top == 0.0 or e <= -1000:
+                break
+            sigma = math.ldexp(1.0, e)
+            qb = np.add(r, sigma, out=q[:size])
+            qb -= sigma
+            r = np.subtract(r, qb, out=res[:size])
+            parts.append(float(qb.sum()))
+            top = max(float(r.max()), -float(r.min()))
+        mu = max(mu, top)
+    return _settled(parts, mu, m)
 
 
 def _mass(values, what: str) -> float:

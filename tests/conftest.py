@@ -47,6 +47,21 @@ def random_cost(rng, d, n):
     return Tensor(rng.random((n,) * d))
 
 
+def overflowing_kernel():
+    """A nonnegative (3,6) kernel whose scaling at epsilon 0.01 overflows.
+
+    The truncated kernel exp(-(6 ln 6 / 0.001) (C - min C)) has 196 zero
+    cells and a smallest positive entry of 2.1e-321, and its support is
+    not scalable to the marginals: the iterate's marginals reach inf.
+    """
+    rng = np.random.default_rng([3, 6, 0])
+    C = rng.random((6,) * 3)
+    p = 0.2 + rng.random((3, 6))
+    with np.errstate(under="ignore"):
+        K = np.exp(-(6 * np.log(6) / 0.001) * (C - C.min()))
+    return Tensor(K), MarginalFamily(p / p.sum(axis=1, keepdims=True))
+
+
 def brute_marginal(A, mode):
     """Mode marginal via an explicit loop over every cell."""
     out = np.zeros(A.n)

@@ -11,7 +11,7 @@ import pytest
 from tensorot import MarginalFamily, Tensor, lift_ground_metric, save_marginals, save_tensor
 from tensorot.cli import run
 
-from conftest import package_env, random_cost, random_marginals
+from conftest import overflowing_kernel, package_env, random_cost, random_marginals
 
 
 @pytest.fixture
@@ -304,6 +304,17 @@ class TestExitCodes:
                     "--marginals", str(tmp_path / "p.json"),
                     "--epsilon", "0.1", "--nonnegative"])
         assert code == 3
+
+    def test_overflowing_marginals_are_three(self, tmp_path, capsys):
+        A, P = overflowing_kernel()
+        save_tensor(A, tmp_path / "a.json")
+        save_marginals(P, tmp_path / "p.json")
+        code = run(["scale", "--tensor", str(tmp_path / "a.json"),
+                    "--marginals", str(tmp_path / "p.json"),
+                    "--epsilon", "0.01", "--nonnegative"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "not finite" in captured.err
 
 
 _FINITE = [0.2, 0.7, 0.5, 0.7, 0.1, 0.4, 0.5, 0.4, 0.3]  # symmetric, d=2, n=3

@@ -35,8 +35,8 @@ from tensorot import scaling
 from tensorot.scaling import _svd_bases
 from tensorot.tensor import _fsum, _marginals, _scaled
 
-from conftest import (max_marginal_gap, random_cost, random_marginals, random_positive_tensor,
-                      traced_peak)
+from conftest import (max_marginal_gap, overflowing_kernel, random_cost, random_marginals,
+                      random_positive_tensor, traced_peak)
 
 
 def uniform_family(d, n):
@@ -827,6 +827,17 @@ class TestSinkhornSupportVariant:
         A = Tensor([[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(DegenerateSliceError, match="mode 0"):
             sinkhorn_scale(A, uniform_family(2, 2), SinkhornConfig(epsilon=0.1))
+
+    def test_marginals_that_overflow_end_the_run(self):
+        # without the check the residuals turn NaN (a RuntimeWarning, which
+        # fails here) and the run heads for a cap of hundreds of millions
+        A, P = overflowing_kernel()
+        assert int(np.count_nonzero(A.data == 0)) == 196
+        with pytest.raises(NonConvergenceError, match="not finite") as info:
+            sinkhorn_scale(A, P, SinkhornConfig(epsilon=0.01))
+        trace = info.value.trace
+        assert trace.records and trace.k_stop is None
+        assert len(trace.records) < 10_000 < trace.bound
 
     def test_positive_tensor_matches_positive_variant(self, monkeypatch):
         # a full support has no degenerate part, so its bases measure every

@@ -1,6 +1,7 @@
 """Set distances: matricization, validators, lifts, gluing, permutation min."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,15 @@ class TestDistanceMatrixCheck:
         check = check_distance_matrix(D)
         assert (check.ok, check.violation) == (False, f"non-finite entry at {where}")
         with pytest.raises(ValueError, match=r"ground metric is invalid: non-finite entry"):
+            lift_ground_metric(D, 2)
+
+    @pytest.mark.parametrize("D", [np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(4)],
+                             ids=["0x0", "2x3", "flat"])
+    def test_rejects_empty_and_non_square(self, D):
+        match = re.escape(f"expected a square matrix of size >= 1, got shape {D.shape}")
+        with pytest.raises(ValueError, match=match):
+            check_distance_matrix(D)
+        with pytest.raises(ValueError, match=match):
             lift_ground_metric(D, 2)
 
     def test_slack_matches_full_broadcast(self, rng):

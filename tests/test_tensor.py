@@ -27,8 +27,9 @@ from tensorot import (
     save_marginals,
     save_tensor,
 )
+from tensorot import rounding, scaling, tensor, transport
 from tensorot.io import FileFormatError
-from tensorot.tensor import (_SHORT_SUM, _SUM_BLOCK, _SUM_PASSES, _abs_diff, _fsum, _marginals,
+from tensorot.tensor import (_SHORT_SUM, _SUM_BLOCK, _SUM_LEVELS, _abs_diff, _fsum, _marginals,
                              _xlogx)
 
 from conftest import brute_inner, brute_marginal, random_marginals, random_positive_tensor
@@ -322,14 +323,14 @@ def _finite_cases(rng, size):
 
 
 def _passes_settle(values):
-    """Whether extraction passes over whole arrays, without blocks, settle
-    the sum before the float-list fallback: the reference for when the
-    blockwise passes may fall back."""
+    """Whether extraction levels over whole arrays, without blocks, settle
+    the sum before the float-list fallback: the blockwise pass may fall
+    back only where these do not."""
     x = np.asarray(values, dtype=float).ravel()
     m = (x.size + 1).bit_length()
     mu = float(np.abs(x).max())
     r, parts = x, []
-    for _ in range(_SUM_PASSES):
+    for _ in range(_SUM_LEVELS):
         e = m + math.frexp(mu)[1]
         if not (math.isfinite(mu) and -1000 < e < 1000):
             return False
@@ -382,6 +383,19 @@ class TestFsum:
         self.assert_same(x)
         assert _fsum(x) == 2.0**60 + sign * 256.0
 
+    def test_residuals_of_many_blocks_summing_past_a_rounding_boundary(self):
+        # each block spends its levels on the pairs +-2**60, +-2**20 and
+        # +-2**-20 and keeps its entries of 2**-62 as residuals; they add up
+        # to about 2**-43.7 and move the total, 2**-45 below the midpoint
+        # 2**60 + 128, past it: a bound of 2**m with m taken from one block's
+        # size instead of the whole array's would miss that
+        x = np.full(10 * _SUM_BLOCK, 2.0**-62)
+        for start in range(0, x.size, _SUM_BLOCK):
+            x[start:start + 6] = [2.0**60, -2.0**60, 2.0**20, -2.0**20, 2.0**-20, -2.0**-20]
+        x[6:8] = [2.0**60, 128.0 - 2.0**-45]
+        self.assert_same(x)
+        assert _fsum(x) == 2.0**60 + 256.0
+
     def test_rounding_ties(self, rng):
         for size in (_SHORT_SUM + 1, 5000):
             x = rng.integers(0, 2**20, size).astype(float)
@@ -403,7 +417,69 @@ class TestFsum:
         total = _fsum(x)
         monkeypatch.undo()
         assert total == expected
-        assert lengths and max(lengths) <= 4
+        assert lengths and max(lengths) <= _SUM_LEVELS * math.ceil(x.size / _SUM_BLOCK) + 1
+
+    @pytest.mark.parametrize("size", _BLOCK_SIZES[2:])
+    def test_op_runs_once_per_block(self, rng, size):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].size)
+            return np.multiply(*args, **kwargs)
+
+        x, y = rng.random(size), rng.random(size)
+        assert _fsum(x, y, op=spy) == _reference_sum(x * y)
+        assert len(calls) == math.ceil(size / _SUM_BLOCK)
+
+    @pytest.mark.parametrize("size", [_SHORT_SUM + 1, _SUM_BLOCK + 1, 24**4])
+    def test_kernel_like_arrays(self, rng, size):
+        # a normalized kernel exp(-500 C) and its cost terms C * K, as in a
+        # solve: entries spread over some 200 decades
+        C = rng.random(size)
+        K = np.exp(-500.0 * (C - C.min()))
+        K /= K.sum()
+        assert _sum_outcome(_fsum, K) == _sum_outcome(_reference_sum, K)
+        got = _sum_outcome(lambda v: _fsum(v, K, op=np.multiply), C)
+        assert got == _sum_outcome(_reference_sum, C * K)
+        got = _sum_outcome(lambda v: _fsum(v, op=_xlogx), K)
+        assert got == _sum_outcome(_reference_sum, _xlogx(K))
+
+    @pytest.mark.parametrize("sign", [0.0, 0.5])
+    def test_a_subnormal_middle_block_settles(self, rng, sign, monkeypatch):
+        # that block stops extracting at its first level; its residual only
+        # widens the bound by 2**m * 1e-310
+        middle = (rng.random(_SUM_BLOCK) - sign) * 1e-310
+        x = np.concatenate([rng.random(_SUM_BLOCK), middle, rng.random(_SUM_BLOCK)])
+        expected = _reference_sum(x)
+        lengths = []
+
+        def recording_fsum(values, fsum=math.fsum):
+            lengths.append(len(values))
+            return fsum(values)
+
+        monkeypatch.setattr(math, "fsum", recording_fsum)
+        total = _fsum(x)
+        monkeypatch.undo()
+        assert total == expected
+        assert max(lengths) < x.size
+
+    def test_every_sum_of_a_solve_is_correctly_rounded(self, rng, monkeypatch):
+        calls = []
+
+        def spy(values, *others, op=None):
+            total = _fsum(values, *others, op=op)
+            entries = np.asarray(values, dtype=float)
+            if op is not None:
+                entries = op(entries, *others)
+            assert float.hex(total) == float.hex(_reference_sum(entries))
+            calls.append(entries.size)
+            return total
+
+        for module in (tensor, scaling, rounding, transport):
+            monkeypatch.setattr(module, "_fsum", spy)
+        C = Tensor(rng.random((64,) * 3))
+        transport.approx_tot(C, random_marginals(rng, 3, 64), 0.2)
+        assert max(calls) == 64**3 and min(calls) <= _SHORT_SUM
 
     @pytest.mark.parametrize("values", [
         [], [-0.0], [0.0, -0.0], np.zeros(5000), -np.zeros(5000), np.zeros((64, 64, 64)),
@@ -462,9 +538,18 @@ class TestFsum:
         # entries; the sigmas of the measured residuals settle it at level 3
         cases.append(np.concatenate([[2.0**60, 128.0 + 2.0**-20, -(2.0**-20)],
                                      rng.random(size - 3) * 1e-35]))
+        # a first block of 2**60 alone, then 128 + 2**-50 and cancelling pairs
+        # with bits far below 2**-50: whole-array sigmas, set by 2**60, spend a
+        # level on bits only the first block has and leave the total, just past
+        # a rounding midpoint, unresolved; the second block's own sigmas settle it
+        first = np.zeros(_SUM_BLOCK)
+        first[0] = 2.0**60
+        half = rng.standard_normal(1000) * 2.0 ** rng.integers(-40, 20, 1000)
+        cases.append(np.concatenate([first, [128.0, 2.0**-50], half, -half]))
         with np.errstate(invalid="ignore", over="ignore"):
             settles = [_passes_settle(x) for x in cases]
         monkeypatch.setattr(math, "fsum", recording_fsum)
+        fell_back = []
         for x, settled in zip(cases, settles):
             for form in (lambda: _fsum(x), lambda: _fsum(x, np.ones(x.shape), op=np.multiply)):
                 del lengths[:]
@@ -472,9 +557,11 @@ class TestFsum:
                     form()
                 except (OverflowError, ValueError):
                     pass
-                assert (max(lengths) > _SUM_PASSES + 1) == (not settled)
+                fell_back.append(max(lengths) >= x.size)
+                assert not (fell_back[-1] and settled)
         monkeypatch.undo()
-        assert any(settles) and not all(settles)
+        assert any(settles) and not all(settles) and any(fell_back)
+        assert not settles[-1] and fell_back[-2:] == [False, False]
 
 
 class TestEntropy:
