@@ -32,14 +32,13 @@ def _shrunk(F: Tensor, P: MarginalFamily) -> tuple[np.ndarray, np.ndarray]:
         raise ContractViolation("cannot round the zero tensor")
     d, n = F.d, F.n
     data = F.data.copy()
-    for j in range(d):
-        axes = tuple(ax for ax in range(d) if ax != j)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            s = data.sum(axis=axes)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for j in range(d):
+            s = np.add.reduce(data, axis=tuple(ax for ax in range(d) if ax != j))
             if j == 0:  # later sums are capped by the targets
                 _mass(s, "plan to round")
             factor = np.where(s > 0, np.minimum(P.p[j] / s, 1.0), 1.0)
-        data *= factor.reshape(_axis_shape(d, j, n))
+            data *= factor.reshape(_axis_shape(d, j, n))
     return data, _marginals(data)
 
 

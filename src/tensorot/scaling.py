@@ -24,7 +24,8 @@ duality gap.
 
 Each step leaves one :class:`IterationRecord`, which is exactly one line
 of the JSONL trace; its ``kl`` is K(p_j || s_j) of the applied step, taken
-from the same log-ratio vector the step adds to the exponents.
+from the same log-ratio vector the step adds to the exponents and summed
+correctly rounded.
 """
 
 from __future__ import annotations
@@ -197,9 +198,15 @@ def log_marginal_fit(A: Tensor, p, mode: int) -> np.ndarray:
 
 def _line_residuals(S: np.ndarray, p: np.ndarray, p_sq: np.ndarray) -> np.ndarray:
     """Each row of S minus its orthogonal projection onto the same row of p,
-    whose squared norms ``(p * p).sum(axis=1)`` are p_sq."""
-    coef = (S * p).sum(axis=1) / p_sq
-    return S - coef[:, None] * p
+    whose squared norms ``(p * p).sum(axis=1)`` are p_sq, in one new array.
+
+    It is ``S - ((S * p).sum(axis=1) / p_sq)[:, None] * p``, with every
+    product and difference written into the array it returns."""
+    out = np.multiply(S, p)
+    coef = np.add.reduce(out, axis=1)
+    coef /= p_sq
+    np.multiply(coef[:, None], p, out=out)
+    return np.subtract(S, out, out=out)
 
 
 def residual(A: Tensor, p, mode: int) -> tuple[np.ndarray, float]:
@@ -231,12 +238,12 @@ def _residual_norms(S: np.ndarray, P: MarginalFamily, bases: Optional[SubspaceBa
     """
     R = _line_residuals(S, P.p, p_sq)
     if bases is None or not bases.dim_degenerate:
-        return np.abs(R).sum(axis=1)
+        return np.add.reduce(np.absolute(R, out=R), axis=1)
     d = P.d
     D = bases.degenerate.reshape(d, P.n, -1)
     full = -np.einsum("mnk,jk->jmn", D, np.einsum("jnk,jn->jk", D, R))
     full[np.arange(d), np.arange(d)] += R
-    return np.abs(full).sum(axis=(1, 2))
+    return np.add.reduce(np.absolute(full, out=full), axis=(1, 2))
 
 
 def _svd_bases(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -385,7 +392,7 @@ def sinkhorn_scale(
     rebuilt = True
     k = 0
     while True:
-        total = float(S[0].sum())
+        total = float(np.add.reduce(S[0]))
         if not math.isfinite(total):
             # an overflowed marginal would only turn the residuals into NaN
             raise NonConvergenceError(
@@ -393,7 +400,8 @@ def sinkhorn_scale(
                 f"(epsilon={cfg.epsilon}); the input may not be scalable to the "
                 "target polytope", trace=trace)
         norms = _residual_norms(S, P, bases, p_sq)
-        worst = float(norms.max())
+        mode = int(norms.argmax())
+        worst = float(norms[mode])
         if not rebuilt and (worst < cfg.epsilon or k % _REBUILD_STEPS == 0 or k == check_at):
             current = None  # free the old iterate before the new one is built
             current = _scaled(data, X, zero_mask, mass)
@@ -402,8 +410,7 @@ def sinkhorn_scale(
             trace.drift = max(trace.drift, float(np.abs(fresh - S).sum()))
             S, rebuilt = fresh, True
             continue
-        mode = int(np.argmax(norms))
-        g_val = total - float(PX.sum())
+        g_val = total - float(np.add.reduce(PX, axis=None))
         if worst < cfg.epsilon:
             trace.stop = "residual"
             iterate = Tensor._adopt(current)
@@ -426,20 +433,20 @@ def sinkhorn_scale(
                 "the input may not be scalable to the target polytope",
                 trace=trace)
         s_mode = S[mode]
-        if np.any(s_mode <= 0):
+        if not s_mode.min() > 0:
             raise DegenerateSliceError(f"mode {mode} marginal vanished at step {k}")
         # p > 0 (MarginalFamily) and s_mode > 0 (just checked), so this
         # is kl_divergence(P.p[mode], s_mode) without its mask and copies
         step = log_p[mode] - np.log(s_mode)
         trace.records.append(IterationRecord(
-            k=k, mode=mode, residual_l1=worst, kl=_fsum(P.p[mode] * step),
+            k=k, mode=mode, residual_l1=worst, kl=math.fsum((P.p[mode] * step).tolist()),
             g_value=g_val))
         row = X[mode] + step
         # apply the increment X takes after rounding, so the working
         # iterate tracks exp(X) and rounding in X does not pile up as drift
         current *= np.exp(row - X[mode]).reshape(shapes[mode])
         X[mode] = row
-        PX[mode] = P.p[mode] * row
+        np.multiply(P.p[mode], row, out=PX[mode])
         S = _marginals(current)
         rebuilt = False
         k += 1

@@ -8,7 +8,7 @@ vectors.
 
 Scalar reductions over all ``n**d`` cells are correctly rounded: they
 return exactly what ``math.fsum`` returns on the same entries, bit for bit.
-Two paths compute them: up to 1,024 entries go to ``math.fsum`` as a list,
+Two paths compute them: up to 256 entries go to ``math.fsum`` as a list,
 and larger inputs are summed in one numpy pass over cache-sized blocks
 instead of one Python float per cell.  Each block extracts its few exact
 levels while it is in cache, and one interval test over all of them
@@ -46,7 +46,13 @@ __all__ = [
 MASS_RTOL = 1e-12
 
 # Up to this many entries math.fsum over a list is cheaper than the pass.
-_SHORT_SUM = 1024
+# The list's cost grows with the partials fsum keeps, which grow with the
+# spread of the entries, and the plans of small solves span 90-300
+# decades.  On a normalized kernel spanning 250 decades both cost about
+# 29 us at 256 entries, and at 512 the list took twice as long as the
+# pass; on one spanning 30 decades the list stays cheaper up to 512
+# entries (2 vCPUs).
+_SHORT_SUM = 256
 # Entries per block of the pass: the block and its residual stay in cache.
 _SUM_BLOCK = 32768
 _SUM_LEVELS = 3
@@ -318,8 +324,8 @@ def _marginals(a: np.ndarray) -> np.ndarray:
     rest = a
     for j in range(d - 1):
         rows = rest.reshape(n, n ** (d - 1 - j))
-        out[j] = rows.sum(axis=1)
-        rest = rows.sum(axis=0)
+        np.add.reduce(rows, axis=1, out=out[j])
+        rest = np.add.reduce(rows, axis=0)
     out[d - 1] = rest
     return out
 

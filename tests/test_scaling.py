@@ -569,6 +569,83 @@ class TestIncrementalStep:
         assert trace.drift > 0.1  # the spoiled rebuild moved the marginals
 
 
+def _replay_step_records(A, P, cfg, monkeypatch, certify=None):
+    """Run sinkhorn_scale and check every record, bit for bit, against the
+    plain numpy expressions of a step, evaluated on the marginals the run
+    took last; returns the trace."""
+    events = []
+    real_marginals, real_record = scaling._marginals, scaling.IterationRecord
+
+    def spy_marginals(data):
+        S = real_marginals(data)
+        events.append(S.copy())
+        return S
+
+    def spy_record(**fields):
+        events.append(fields)
+        return real_record(**fields)
+
+    monkeypatch.setattr(scaling, "_marginals", spy_marginals)
+    monkeypatch.setattr(scaling, "IterationRecord", spy_record)
+    _, X_run, trace = sinkhorn_scale(A, P, cfg, certify=certify)
+    monkeypatch.undo()
+
+    p = P.p
+    p_sq = (p * p).sum(axis=1)
+    X = np.zeros((P.d, P.n))
+    for event in events:
+        if isinstance(event, np.ndarray):
+            S = event
+            continue
+        norms = np.abs(S - ((S * p).sum(axis=1) / p_sq)[:, None] * p).sum(axis=1)
+        assert event["residual_l1"] == float(norms.max())
+        assert event["g_value"] == float(S[0].sum()) - float((p * X).sum())
+        if event["mode"] is None:
+            continue
+        mode = int(np.argmax(norms))
+        assert event["mode"] == mode
+        step = np.log(p[mode]) - np.log(S[mode])
+        assert event["kl"] == _fsum(p[mode] * step)
+        X[mode] = X[mode] + step
+    assert X.tobytes() == X_run.tobytes()
+    return trace
+
+
+class TestStepBits:
+    """A step's residual norms, mode, kl and potential are the plain numpy
+    expressions of the greedy step, bit for bit: n = 8 and 12 reach numpy's
+    unrolled pairwise loop, which a reduction in another order would not
+    match."""
+
+    @pytest.mark.parametrize("n", [3, 8, 12])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("variant", ["positive", "support"])
+    def test_records_match_plain_expressions(self, rng, monkeypatch, variant, d, n):
+        if variant == "support":
+            A, P = _with_zeros(rng, d, n)
+            assert np.any(A.data == 0)
+            # no degenerate part, so the plain residual is the measured one
+            assert support_subspaces(A, P).dim_degenerate == 0
+        else:
+            A = exp_neg_scaled(random_cost(rng, d, n), 8.0)
+            P = random_marginals(rng, d, n)
+        trace = _replay_step_records(A, P, SinkhornConfig(epsilon=1e-4), monkeypatch)
+        assert trace.stop == "residual" and trace.k_stop >= 5
+
+    def test_records_of_a_certified_run(self, rng, monkeypatch):
+        A = exp_neg_scaled(random_cost(rng, 3, 8), 30.0)
+        P = random_marginals(rng, 3, 8)
+        calls = []
+
+        def certify(iterate, X):
+            calls.append(1)
+            return len(calls) == 3
+
+        trace = _replay_step_records(A, P, SinkhornConfig(epsilon=1e-6), monkeypatch,
+                                     certify=certify)
+        assert trace.stop == "certified" and trace.k_stop == 32
+
+
 class TestSupportSubspaces:
     def test_strictly_positive_has_no_degenerate_part(self, rng):
         A = random_positive_tensor(rng, 3, 3)

@@ -347,9 +347,10 @@ def _passes_settle(values):
     return False
 
 
-# around the short path, the one-block path and several blocks
-_BLOCK_SIZES = [_SHORT_SUM - 1, _SHORT_SUM, _SHORT_SUM + 1, _SUM_BLOCK - 1, _SUM_BLOCK,
-                _SUM_BLOCK + 1, 3 * _SUM_BLOCK + 7]
+# around the short path's end, a one-block pass of about 1,024 entries (the
+# size of an n=10, d=3 plan), one full block and several blocks
+_BLOCK_SIZES = [_SHORT_SUM - 1, _SHORT_SUM, _SHORT_SUM + 1, 1023, 1024, 1025, _SUM_BLOCK - 1,
+                _SUM_BLOCK, _SUM_BLOCK + 1, 3 * _SUM_BLOCK + 7]
 
 
 class TestFsum:
@@ -358,17 +359,18 @@ class TestFsum:
     def assert_same(self, values):
         assert _sum_outcome(_fsum, values) == _sum_outcome(_reference_sum, values)
 
-    @pytest.mark.parametrize("size", [1, 7, _SHORT_SUM, _SHORT_SUM + 1, 4099, 65537, 262144])
+    @pytest.mark.parametrize("size", [1, 7, _SHORT_SUM, _SHORT_SUM + 1, 1024, 1025, 4099, 65537,
+                                      262144])
     def test_random_arrays(self, rng, size):
         for x in _random_arrays(rng, size):
             self.assert_same(x)
 
-    @pytest.mark.parametrize("size", [_SHORT_SUM, _SHORT_SUM + 1, 40000])
+    @pytest.mark.parametrize("size", [_SHORT_SUM, _SHORT_SUM + 1, 1024, 1025, 40000])
     def test_exact_cancellation(self, rng, size):
         for x in _cancellations(rng, size):
             self.assert_same(x)
 
-    @pytest.mark.parametrize("size", [_SHORT_SUM, _SHORT_SUM + 1, 40000])
+    @pytest.mark.parametrize("size", [_SHORT_SUM, _SHORT_SUM + 1, 1024, 1025, 40000])
     def test_subnormals(self, rng, size):
         for x in _subnormals(rng, size):
             self.assert_same(x)
@@ -431,7 +433,7 @@ class TestFsum:
         assert _fsum(x, y, op=spy) == _reference_sum(x * y)
         assert len(calls) == math.ceil(size / _SUM_BLOCK)
 
-    @pytest.mark.parametrize("size", [_SHORT_SUM + 1, _SUM_BLOCK + 1, 24**4])
+    @pytest.mark.parametrize("size", [_SHORT_SUM + 1, 1025, _SUM_BLOCK + 1, 24**4])
     def test_kernel_like_arrays(self, rng, size):
         # a normalized kernel exp(-500 C) and its cost terms C * K, as in a
         # solve: entries spread over some 200 decades
@@ -463,7 +465,10 @@ class TestFsum:
         assert total == expected
         assert max(lengths) < x.size
 
-    def test_every_sum_of_a_solve_is_correctly_rounded(self, rng, monkeypatch):
+    @staticmethod
+    def _check_every_sum(monkeypatch) -> list:
+        """Make every ``_fsum`` of a solve assert that it equals
+        ``math.fsum`` of its entries; returns the list their sizes go to."""
         calls = []
 
         def spy(values, *others, op=None):
@@ -477,9 +482,23 @@ class TestFsum:
 
         for module in (tensor, scaling, rounding, transport):
             monkeypatch.setattr(module, "_fsum", spy)
+        return calls
+
+    def test_every_sum_of_a_solve_is_correctly_rounded(self, rng, monkeypatch):
+        calls = self._check_every_sum(monkeypatch)
         C = Tensor(rng.random((64,) * 3))
         transport.approx_tot(C, random_marginals(rng, 3, 64), 0.2)
         assert max(calls) == 64**3 and min(calls) <= _SHORT_SUM
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_every_sum_of_a_small_solve_is_correctly_rounded(self, rng, monkeypatch, n):
+        # a solve at d=3 on plans of 512 and 1,000 entries, whose kernel at
+        # delta=0.02 spans some 250 decades: its checks sum whole plans on
+        # the pass above the short path's end, and short vectors on the list
+        calls = self._check_every_sum(monkeypatch)
+        C = Tensor(rng.random((n,) * 3))
+        transport.approx_tot(C, random_marginals(rng, 3, n), 0.02)
+        assert min(calls) <= _SHORT_SUM < max(calls) == n**3 <= 1024
 
     @pytest.mark.parametrize("values", [
         [], [-0.0], [0.0, -0.0], np.zeros(5000), -np.zeros(5000), np.zeros((64, 64, 64)),
@@ -488,7 +507,7 @@ class TestFsum:
         self.assert_same(values)
 
     @pytest.mark.parametrize("special", _SPECIALS)
-    @pytest.mark.parametrize("size", [4, _SHORT_SUM + 1, 5000])
+    @pytest.mark.parametrize("size", [4, _SHORT_SUM + 1, 1025, 5000])
     def test_nonfinite_and_overflow(self, rng, special, size):
         x = rng.random(size)
         x[: len(special)] = special
