@@ -3,7 +3,9 @@
 One process handles one job.  Results go to stdout as a single JSON
 object with a fixed field order, so identical inputs produce
 byte-identical output; diagnostics go to stderr.  Exit codes: 0 success,
-1 malformed input file, 2 contract violation, 3 non-convergence.
+1 malformed input file, 2 contract violation, 3 non-convergence.  Each
+subcommand imports the modules it runs when it is called, so a process
+loads only those.
 """
 
 from __future__ import annotations
@@ -16,12 +18,6 @@ import numpy as np
 
 from .errors import ContractViolation, NonConvergenceError
 from .io import FileFormatError, load_marginals, load_tensor, save_tensor
-from .lp import solve_exact_tot, scalability_check
-from .rounding import round_to_polytope
-from .scaling import SinkhornConfig, sinkhorn_scale
-from .setdist import cost_profile, set_distance
-from .tensor import _fsum, all_marginals, inner, l1_distance
-from .transport import approx_tot, entropic_bracket, entropic_tot
 
 __all__ = ["run", "main"]
 
@@ -39,6 +35,8 @@ def _save_plan(plan, path):
 
 
 def _cmd_solve_exact(args) -> int:
+    from .lp import solve_exact_tot
+
     C = load_tensor(args.cost)
     P = load_marginals(args.marginals)
     sol = solve_exact_tot(C, P)
@@ -47,6 +45,8 @@ def _cmd_solve_exact(args) -> int:
 
 
 def _cmd_solve_entropic(args) -> int:
+    from .transport import entropic_bracket, entropic_tot
+
     C = load_tensor(args.cost)
     P = load_marginals(args.marginals)
     res = entropic_tot(C, P, args.lam, args.epsilon)
@@ -67,6 +67,8 @@ def _cmd_solve_entropic(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    from .transport import approx_tot
+
     C = load_tensor(args.cost)
     P = load_marginals(args.marginals)
     plan, cert = approx_tot(C, P, args.delta, lam=args.lam, epsilon=args.epsilon,
@@ -78,6 +80,8 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_scale(args) -> int:
+    from .scaling import SinkhornConfig, sinkhorn_scale
+
     A = load_tensor(args.tensor)
     P = load_marginals(args.marginals)
     # zeros need --nonnegative; the scaling itself follows the tensor
@@ -100,6 +104,9 @@ def _cmd_scale(args) -> int:
 
 
 def _cmd_round(args) -> int:
+    from .rounding import round_to_polytope
+    from .tensor import _fsum, all_marginals, l1_distance
+
     F = load_tensor(args.tensor)
     P = load_marginals(args.marginals)
     plan = round_to_polytope(F, P)
@@ -113,6 +120,8 @@ def _cmd_round(args) -> int:
 
 
 def _cmd_set_distance(args) -> int:
+    from .setdist import set_distance
+
     C = load_tensor(args.cost)
     left = load_marginals(args.left)
     right = load_marginals(args.right)
@@ -132,6 +141,8 @@ def _cmd_set_distance(args) -> int:
 
 
 def _cmd_validate_cost(args) -> int:
+    from .setdist import cost_profile
+
     C = load_tensor(args.cost)
     profile = cost_profile(C)
     _emit({
@@ -145,6 +156,8 @@ def _cmd_validate_cost(args) -> int:
 
 
 def _cmd_scalable(args) -> int:
+    from .lp import scalability_check
+
     A = load_tensor(args.tensor)
     P = load_marginals(args.marginals)
     _emit({"scalable": scalability_check(A, P)})

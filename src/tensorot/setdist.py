@@ -20,9 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolation
-from .lp import solve_exact_tot
 from .tensor import MarginalFamily, Tensor
-from .transport import approx_tot
 
 __all__ = [
     "DistanceCheck",
@@ -40,6 +38,10 @@ __all__ = [
     "set_distance",
 ]
 
+# validators compare within this fraction of the input's largest |entry|,
+# so a metric and its rescaling get the same verdict
+_RTOL = 1e-12
+# entrywise gap allowed between two probability vectors read as equal
 _ATOL = 1e-12
 # l1 gap allowed between the middle marginals of two plans being glued
 _GLUE_TOL = 1e-8
@@ -95,12 +97,20 @@ def matricize(C: Tensor) -> np.ndarray:
 def _triangle_slack(D: np.ndarray) -> np.ndarray:
     """min_k (D[i,k] + D[j,k]) - D[i,j] for every pair (i, j).
 
-    One pivot k at a time, so memory stays O(size^2), not O(size^3).
+    One row of pairs at a time: row i of the minimum, for j >= i, is
+    mirrored into column i, since the sum commutes exactly.  So the minimum
+    is symmetric before D is subtracted, even for a D that is not, and
+    memory stays O(size^2), not O(size^3).
     """
-    best = np.full(D.shape, np.inf)
-    for col in D.T:
-        np.minimum(best, col[:, None] + col[None, :], out=best)
+    best = np.empty(D.shape)
+    for i in range(D.shape[0]):
+        best[i, i:] = best[i:, i] = (D[i:] + D[i]).min(axis=1)
     return best - D
+
+
+def _tolerance(A: np.ndarray) -> float:
+    """Absolute slack of the validators: _RTOL times the largest |entry|."""
+    return _RTOL * float(np.abs(A).max(initial=0.0))
 
 
 def check_distance_matrix(D) -> DistanceCheck:
@@ -114,23 +124,24 @@ def check_distance_matrix(D) -> DistanceCheck:
         i, j = np.unravel_index(np.argmax(bad), D.shape)
         return DistanceCheck(False, f"non-finite entry at ({i}, {j})")
     size = D.shape[0]
+    tol = _tolerance(D)
     diag = np.abs(np.diag(D))
-    if diag.max(initial=0.0) > _ATOL:
+    if diag.max(initial=0.0) > tol:
         i = int(np.argmax(diag))
         return DistanceCheck(False, f"nonzero self-distance at index {i}: {float(D[i, i])!r}")
     asym = np.abs(D - D.T)
-    if asym.max(initial=0.0) > _ATOL:
+    if asym.max(initial=0.0) > tol:
         i, j = np.unravel_index(np.argmax(asym), D.shape)
         return DistanceCheck(
             False, f"asymmetry at ({i}, {j}): {float(D[i, j])!r} vs {float(D[j, i])!r}")
     off = ~np.eye(size, dtype=bool)
-    if size > 1 and D[off].min() <= _ATOL:
+    if size > 1 and D[off].min() <= tol:
         flat = np.where(off, D, np.inf)
         i, j = np.unravel_index(np.argmin(flat), D.shape)
         return DistanceCheck(False, f"nonpositive off-diagonal at ({i}, {j}): {float(D[i, j])!r}")
     # d(i,j) <= d(i,k) + d(k,j) for every triple
     slack = _triangle_slack(D)
-    if slack.min() < -_ATOL:
+    if slack.min() < -tol:
         i, j = np.unravel_index(np.argmin(slack), D.shape)
         k = int(np.argmin(D[i] + D[j]))
         return DistanceCheck(
@@ -163,20 +174,21 @@ def check_multiset_distance(C: Tensor) -> DistanceCheck:
     D = matricize(C)
     size = D.shape[0]
     same = _same_multiset(C.n, half)
-    if np.abs(D[same]).max(initial=0.0) > _ATOL:
+    tol = _tolerance(D)
+    if np.abs(D[same]).max(initial=0.0) > tol:
         flat = np.where(same, np.abs(D), -np.inf)
         i, j = np.unravel_index(np.argmax(flat), D.shape)
         return DistanceCheck(False, f"nonzero cost on equal multisets at ({i}, {j})")
-    if size > 1 and np.any(D[~same] <= _ATOL):
+    if size > 1 and np.any(D[~same] <= tol):
         flat = np.where(~same, D, np.inf)
         i, j = np.unravel_index(np.argmin(flat), D.shape)
         return DistanceCheck(False, f"nonpositive cost on distinct multisets at ({i}, {j})")
     asym = np.abs(D - D.T)
-    if asym.max(initial=0.0) > _ATOL:
+    if asym.max(initial=0.0) > tol:
         i, j = np.unravel_index(np.argmax(asym), D.shape)
         return DistanceCheck(False, f"asymmetry at ({i}, {j})")
     slack = _triangle_slack(D)
-    if slack.min() < -_ATOL:
+    if slack.min() < -tol:
         i, j = np.unravel_index(np.argmin(slack), D.shape)
         return DistanceCheck(False, f"triangle violation between tuples {i} and {j}")
     return DistanceCheck(True, None)
@@ -191,10 +203,14 @@ def check_bisymmetric(C: Tensor) -> tuple[bool, bool]:
     """
     half = _half(C)
     data = C.data
+    tol = _tolerance(data)
+
+    def same(axes):
+        return np.abs(data - np.transpose(data, axes)).max(initial=0.0) <= tol
+
     front = list(range(half))
     back = list(range(half, 2 * half))
-    swapped = np.transpose(data, back + front)
-    if not np.allclose(data, swapped, rtol=0.0, atol=_ATOL):
+    if not same(back + front):
         return False, False
     weak = True
     full = True
@@ -203,12 +219,10 @@ def check_bisymmetric(C: Tensor) -> tuple[bool, bool]:
             continue
         perm_front = [perm[i] for i in range(half)] + back
         perm_back = front + [half + perm[i] for i in range(half)]
-        front_ok = np.allclose(data, np.transpose(data, perm_front), rtol=0.0, atol=_ATOL)
-        back_ok = np.allclose(data, np.transpose(data, perm_back), rtol=0.0, atol=_ATOL)
-        if not (front_ok and back_ok):
+        if not (same(perm_front) and same(perm_back)):
             full = False
         both = [perm[i] for i in range(half)] + [half + perm[i] for i in range(half)]
-        if not np.allclose(data, np.transpose(data, both), rtol=0.0, atol=_ATOL):
+        if not same(both):
             weak = False
             break
     weak = weak or full
@@ -283,11 +297,16 @@ def pair_distance(
     right = _as_measure_list(right, C.n, half, "right measures")
     family = MarginalFamily(np.vstack([left, right]))
     family.require_probability()
+    # each solver loads on first use, so validating a cost imports none
     if solver == "exact":
+        from .lp import solve_exact_tot
+
         return solve_exact_tot(C, family).value
     if solver == "entropic":
         if delta is None:
             raise ValueError("the entropic solver needs a delta target")
+        from .transport import approx_tot
+
         _, cert = approx_tot(C, family, delta)
         return cert.value
     raise ValueError("solver must be 'exact' or 'entropic'")

@@ -443,6 +443,49 @@ class TestProcess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_loads_no_submodule(self):
+        code = ("import sys, tensorot\n"
+                "print(sorted(m for m in sys.modules if m.startswith('tensorot')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=package_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['tensorot']"
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["approx", "--cost", "{c}", "--marginals", "{m}", "--delta", "0.2"],
+         {"pm", "lp", "setdist"}),
+        (["validate-cost", "--cost", "{c}"],
+         {"pm", "lp", "transport", "scaling", "rounding"}),
+        (["solve-exact", "--cost", "{c}", "--marginals", "{m}"],
+         {"pm", "transport", "setdist"}),
+        (["set-distance", "--cost", "{s}", "--left", "{p}", "--right", "{p}"],
+         {"pm", "transport", "scaling", "rounding"}),
+        (["set-distance", "--cost", "{s}", "--left", "{p}", "--right", "{p}",
+          "--solver", "entropic", "--delta", "0.1"],
+         {"pm", "lp"}),
+    ], ids=["approx", "validate-cost", "solve-exact", "set-distance-exact",
+            "set-distance-entropic"])
+    def test_subcommand_loads_only_what_it_runs(self, files, argv, absent):
+        tmp, cost, marg, *_ = files
+        metric, measure = tmp / "metric.json", tmp / "measure.json"
+        save_tensor(lift_ground_metric([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]], 2),
+                    metric)
+        save_marginals(MarginalFamily([[0.2, 0.3, 0.5]]), measure)
+        argv = [arg.format(c=cost, m=marg, s=metric, p=measure) for arg in argv]
+        code = ("import json, sys\n"
+                "from tensorot import cli\n"
+                f"code = cli.run({argv!r})\n"
+                "print(code, json.dumps(sorted(m.removeprefix('tensorot.') for m in sys.modules\n"
+                "                              if m.startswith('tensorot.'))))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=package_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        exit_code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+        assert exit_code == "0"
+        loaded = set(json.loads(loaded))
+        assert {"cli", "errors", "io", "tensor"} <= loaded
+        assert not loaded & absent, loaded
+
     def test_exact_path_loads_no_scipy(self, files):
         _, cost, marg, *_ = files
         code = ("import sys\n"

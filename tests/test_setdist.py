@@ -1,13 +1,18 @@
 """Set distances: matricization, validators, lifts, gluing, permutation min."""
 
+import functools
+import importlib.util
 import itertools
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tensorot import (
     ContractViolation,
+    DistanceCheck,
     MarginalFamily,
     Tensor,
     check_bisymmetric,
@@ -115,6 +120,113 @@ class TestDistanceMatrixCheck:
             D = D + D.T
             full = (D[:, None, :] + D[None, :, :]).min(axis=2) - D
             assert np.array_equal(_triangle_slack(D), full)
+
+
+def pivot_slack(D):
+    """Reference triangle slack, one pivot k at a time over the whole matrix."""
+    best = np.full(D.shape, np.inf)
+    for col in D.T:
+        np.minimum(best, col[:, None] + col[None, :], out=best)
+    return best - D
+
+
+def slack_inputs():
+    """Named even-order costs for the row-at-a-time slack: random
+    non-metrics, metrics, lifts of orders 2, 4 and 6, and matrices whose
+    two triangles differ in the last bits (asymmetric within the
+    validators' tolerance)."""
+    rng = np.random.default_rng([41, 7])
+    out = {}
+    for size in (1, 2, 64, 65):
+        M = rng.random((size, size))
+        M = M + M.T
+        np.fill_diagonal(M, 0.0)
+        out[f"non-metric-{size}"] = Tensor(M)
+        out[f"metric-{size}"] = Tensor(ground_metric(size, rng))
+    out["sum-lift-order-4-n-20"] = lift_ground_metric(ground_metric(20, rng), 4)
+    for order, n in ((2, 9), (4, 8), (6, 4)):
+        for mode in ("sum", "matching"):
+            out[f"{mode}-lift-order-{order}"] = lift_ground_metric(ground_metric(n, rng), order,
+                                                                   mode)
+    for size in (2, 64, 65):
+        for name in ("metric", "non-metric"):
+            noise = 1e-14 * rng.random((size, size))
+            np.fill_diagonal(noise, 0.0)
+            out[f"asymmetric-{name}-{size}"] = Tensor(out[f"{name}-{size}"].data + noise)
+    return out
+
+
+class TestRowSlack:
+    """_triangle_slack works a row of pairs at a time and keeps every bit."""
+
+    @pytest.mark.parametrize("name", list(slack_inputs()))
+    def test_bits_and_verdicts_match_the_pivot_loop(self, name, monkeypatch):
+        C = slack_inputs()[name]
+        D = matricize(C)
+        assert np.array_equal(_triangle_slack(D), pivot_slack(D))
+        checks = (lambda: check_distance_matrix(D), lambda: check_multiset_distance(C))
+        row = [check() for check in checks]
+        monkeypatch.setattr(setdist, "_triangle_slack", pivot_slack)
+        assert [check() for check in checks] == row
+
+    def test_inputs_reach_the_triangle_test(self):
+        # some inputs fail a triangle and some pass them all, asymmetric
+        # ones included, so the slack decides both checks' verdicts
+        inputs = slack_inputs()
+        verdicts = [(name, check_distance_matrix(matricize(C)).violation,
+                     check_multiset_distance(C).violation) for name, C in inputs.items()]
+        assert any(v and v.startswith("triangle") for _, v, _ in verdicts)
+        assert any(w and w.startswith("triangle") for _, _, w in verdicts)
+        assert any(v is None for name, v, _ in verdicts if name.startswith("asymmetric-"))
+        assert any(w is None for name, _, w in verdicts if name.startswith("matching-lift-order-6"))
+
+
+@functools.cache
+def bench_grid():
+    """bench/grid.py, loaded once by path under the name ``bench_grid``."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_grid", Path(__file__).resolve().parents[1] / "bench" / "grid.py")
+    grid = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = grid  # its dataclasses look their module up
+    spec.loader.exec_module(grid)
+    return grid
+
+
+def line_metric(n=10):
+    x = np.sort(np.random.default_rng(7).random(n))
+    return np.abs(x[:, None] - x[None, :])
+
+
+class TestScaledMetrics:
+    """The validators' tolerance follows the input's largest entry, so a
+    rescaled metric gets the verdict of the metric itself."""
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-11, 1e6, 1e9])
+    @pytest.mark.parametrize("metric", ["line", "points"])
+    def test_scaled_metric_passes(self, metric, scale):
+        D = scale * (line_metric() if metric == "line" else bench_grid().ground_points(10, 0))
+        assert check_distance_matrix(D) == DistanceCheck(True, None)
+        for mode in ("sum", "matching"):
+            lift = lift_ground_metric(D, 4, mode)
+            flags = cost_profile(lift)
+            unscaled = cost_profile(lift_ground_metric(D / scale, 4, mode))
+            assert flags == unscaled
+            assert flags.distance_matrix == (mode == "sum")
+            assert flags.multiset_distance == (mode == "matching")
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-12, 1e-6, 1.0, 1e6, 1e9])
+    def test_triangle_violation_at_every_scale(self, scale):
+        D = scale * np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        assert check_distance_matrix(D).violation == "triangle violation: d(0,1) > d(0,2) + d(2,1)"
+        assert check_multiset_distance(Tensor(D)).violation == (
+            "triangle violation between tuples 0 and 1")
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])
+    def test_bisymmetry_within_relative_tolerance(self, rng, scale):
+        C = scale * lift_ground_metric(ground_metric(3, rng), 4, "matching").data
+        noise = rng.random(C.shape)
+        assert check_bisymmetric(Tensor(C + 1e-16 * scale * noise)) == (True, True)
+        assert check_bisymmetric(Tensor(C + 1e-10 * scale * noise)) == (False, False)
 
 
 class TestBisymmetry:

@@ -26,6 +26,13 @@ It records, per op or job:
   class and message with the sha256 of the trace it carries;
 * ``cli-setdist``: sha256 of every input file, and the exit code, stdout
   and stderr of the job run as its own process, as the benchmark runs it;
+* the validators' failure paths: exit code, stdout and stderr of
+  ``validate-cost`` run as its own process on an order-4 sum lift with one
+  pair raised past a triangle, on a lift with one asymmetric pair and on
+  an order-2 metric with a nonzero diagonal; and, in process, the
+  ``cost_profile`` flags and violation and the ``check_multiset_distance``
+  violation of the sum and matching lifts of orders 2, 4 and 6 of the
+  benchmark's ground points;
 * each ``demos/*.py``: exit code and stdout.
 
 The temporary directory's path is replaced by ``<work>`` in captured text.
@@ -33,6 +40,7 @@ The temporary directory's path is replaced by ``<work>`` in captured text.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -46,7 +54,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import grid  # noqa: E402
 import numpy as np  # noqa: E402
-from tensorot import (ContractViolation, MarginalFamily, Tensor, lp, scaling, tensor,  # noqa: E402
+from tensorot import (ContractViolation, MarginalFamily, Tensor, check_multiset_distance,  # noqa: E402
+                      cost_profile, lift_ground_metric, lp, save_tensor, scaling, tensor,
                       transport)
 
 
@@ -146,6 +155,30 @@ def cli_entries(work: Path) -> dict:
     return out
 
 
+def validator_entries(work: Path) -> dict:
+    out = {}
+    lift = lift_ground_metric(grid.ground_points(6, 0), 4).data
+    raised = lift.copy()
+    # reshape gives a view, so these edits reach the copied lift
+    raised.reshape(36, 36)[[3, 20], [20, 3]] = 2.0 * lift.max()
+    asymmetric = lift.copy()
+    asymmetric.reshape(36, 36)[5, 30] += 1e-3
+    diagonal = grid.ground_points(5, 0)
+    diagonal[2, 2] = 0.5
+    for name, C in (("raised-triangle", raised), ("asymmetric-pair", asymmetric),
+                    ("nonzero-diagonal", diagonal)):
+        path = work / f"validate-{name}.json"
+        save_tensor(Tensor(C), path)
+        out[f"validate-cost {name}"] = process(
+            ["-c", grid.CLI_MAIN, "validate-cost", "--cost", str(path)], work)
+    for order, n in ((2, 10), (4, 10), (6, 5)):
+        for mode in ("sum", "matching"):
+            C = lift_ground_metric(grid.ground_points(n, 0), order, mode)
+            out[f"cost_profile {mode} order={order},n={n}"] = [
+                dataclasses.asdict(cost_profile(C)), check_multiset_distance(C).violation]
+    return out
+
+
 def demo_entries(work: Path) -> dict:
     return {f"demo {path.name}": process([str(path)], work)
             for path in sorted((ROOT / "demos").glob("*.py"))}
@@ -156,7 +189,7 @@ def main() -> None:
         work = Path(tmp)
         out = {}
         for entries in (approx_entries, exact_entries, scale_entries, cli_entries,
-                        demo_entries):
+                        validator_entries, demo_entries):
             out.update(entries(work))
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     print()
